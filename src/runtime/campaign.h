@@ -14,8 +14,8 @@
 // (tests/campaign_test.cpp, tests/algorithm_registry_test.cpp).
 //
 // Results carry per-cell summaries, centralized-checker verdicts
-// (src/problems/registry.h), and aggregate percentiles over rounds,
-// messages, and steps/sec.
+// (src/problems/registry.h), and aggregate percentiles over rounds and
+// the engine counters (kEngineStatFields, src/runtime/runner.h).
 //
 // Note on layering: this file lives in src/runtime/ but is the
 // orchestration layer of the library — it sits ABOVE core/algo/prune
@@ -23,6 +23,8 @@
 // nothing below src/runtime/campaign.* may include it.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -35,6 +37,7 @@
 #include "src/runtime/instance.h"
 #include "src/runtime/runner.h"
 #include "src/runtime/telemetry.h"
+#include "src/util/json.h"
 #include "src/util/thread_pool.h"
 
 namespace unilocal {
@@ -120,6 +123,51 @@ struct CampaignPercentiles {
 /// log). Returns all zeros for an empty input.
 CampaignPercentiles campaign_percentiles(std::vector<double> values);
 
+/// Percentiles of the EngineStats fields over a campaign's solved cells:
+/// one block per kEngineStatFields row with `aggregate` set (zero for the
+/// other rows), plus the derived mean kernel batch occupancy over the cells
+/// with a batch call. CampaignResult and the run log carry it; its JSON
+/// writer and reader below are the only ones.
+struct StatPercentiles {
+  std::array<CampaignPercentiles, kEngineStatFields.size()> fields{};
+  CampaignPercentiles kernel_batch_occupancy;
+
+  /// One field's block: stats[&EngineStats::peak_live_nodes].
+  template <class T>
+  const CampaignPercentiles& operator[](T EngineStats::*member) const {
+    return fields[stat_field_index(member)];
+  }
+};
+
+/// Calls f(key, block) for each block of `stats` (const or not) in output
+/// order; canonical_only keeps the rows that canonical JSON carries.
+template <class Stats, class F>
+void for_each_stat_block(Stats& stats, bool canonical_only, F&& f) {
+  for (std::size_t i = 0; i < stats.fields.size(); ++i) {
+    const StatField& field = kEngineStatFields[i];
+    if (field.aggregate && (field.canonical || !canonical_only))
+      f(field.key, stats.fields[i]);
+  }
+  if (!canonical_only)
+    f("kernel_batch_occupancy", stats.kernel_batch_occupancy);
+}
+
+/// Writes "key":{"p50":..,"p90":..,"p99":..,"max":..}.
+void write_percentiles_json(std::ostream& out, const char* key,
+                            const CampaignPercentiles& p);
+
+/// Writes ',' plus one percentile block per for_each_stat_block entry.
+void write_stat_percentiles_json(std::ostream& out,
+                                 const StatPercentiles& stats,
+                                 bool canonical_only);
+
+/// Reads a percentile block; throws std::runtime_error when malformed.
+CampaignPercentiles parse_percentiles_json(const json::Value& value);
+
+/// Reads the blocks of `object`; absent blocks stay zero (run-log lines
+/// older than a field).
+StatPercentiles parse_stat_percentiles_json(const json::Value& object);
+
 /// One supervised attempt's timing, relative to the supervision start
 /// (PR 10): persisted into the non-canonical JSON and the run log so
 /// post-hoc analysis of killed/straggler attempts does not need the live
@@ -190,31 +238,8 @@ struct CampaignResult {
   int valid = 0;
   int failed = 0;
   CampaignPercentiles rounds;
-  CampaignPercentiles messages;
-  CampaignPercentiles steps_per_second;
-  /// Frontier telemetry (the PR 4 engine counters), aggregated over the
-  /// solved cells like rounds/messages: how much of each cell the engine
-  /// actually had live, how wide the scheduled frontier got, and how much
-  /// span-clearing the dirty lists absorbed.
-  CampaignPercentiles peak_live_nodes;
-  CampaignPercentiles peak_frontier_nodes;
-  CampaignPercentiles dirty_spans_cleared;
-  /// Engine-path split (PR 6 step kernels): node steps executed through the
-  /// flat kernel tier vs the Process vtable path, per solved cell.
-  CampaignPercentiles kernel_steps;
-  CampaignPercentiles vtable_steps;
-  /// Batched-execution split (PR 8): kernel steps executed through
-  /// phase-grouped batch functions, and the mean batch occupancy
-  /// (batched steps / batch calls) per solved cell with at least one
-  /// batch call.
-  CampaignPercentiles kernel_batched_steps;
-  CampaignPercentiles kernel_batch_occupancy;
-  /// Fault-injection telemetry (the PR 7 delivery layer), per solved cell:
-  /// dropped transmissions, duplicated deliveries, and the worst delivery
-  /// latency beyond the synchronous one-tick ideal. All zero on sync grids.
-  CampaignPercentiles messages_dropped;
-  CampaignPercentiles messages_duplicated;
-  CampaignPercentiles max_delivery_skew;
+  /// The engine counters' percentiles over the solved cells.
+  StatPercentiles stats;
   /// Supervision telemetry (PR 9): filled by the sharded drivers after
   /// merge_shard_results; enabled = false on plain run_campaign results.
   /// finalize_campaign_aggregates leaves it untouched — it describes the

@@ -1,7 +1,7 @@
 // Append-only campaign run-log: one JSON line per recorded sweep (UTC
-// date, grid hash, worker count, outcome counts, rounds/messages/steps-sec
-// percentiles), so future perf PRs can diff a fresh run against recorded
-// sweeps of the *same* grid without re-running history. The grid hash
+// date, grid hash, worker count, outcome counts, the rounds and engine
+// counter percentiles), so future perf changes can diff a fresh run against
+// recorded sweeps of the *same* grid without re-running history. The grid hash
 // covers every cell's (scenario, params, algorithm, seed, identities) —
 // two results compare only when they swept identical work.
 #pragma once
@@ -26,26 +26,9 @@ struct RunLogEntry {
   double elapsed_seconds = 0.0;
   double cells_per_second = 0.0;
   CampaignPercentiles rounds;
-  CampaignPercentiles messages;
-  CampaignPercentiles steps_per_second;
-  /// Frontier telemetry percentiles; zero when the entry predates them
-  /// (the reader tolerates their absence).
-  CampaignPercentiles peak_live_nodes;
-  CampaignPercentiles peak_frontier_nodes;
-  CampaignPercentiles dirty_spans_cleared;
-  /// Engine-path split (kernel vs vtable steps); zero when the entry
-  /// predates the step-kernel tier.
-  CampaignPercentiles kernel_steps;
-  CampaignPercentiles vtable_steps;
-  /// Batched-execution split (phase-grouped batch kernels); zero when the
-  /// entry predates batched stepping.
-  CampaignPercentiles kernel_batched_steps;
-  CampaignPercentiles kernel_batch_occupancy;
-  /// Fault-injection telemetry (the delivery layer); zero when the entry
-  /// predates it or the grid ran synchronously.
-  CampaignPercentiles messages_dropped;
-  CampaignPercentiles messages_duplicated;
-  CampaignPercentiles max_delivery_skew;
+  /// The engine counters' percentile blocks (CampaignResult::stats); a
+  /// block the line predates reads as zero.
+  StatPercentiles stats;
   /// Supervision telemetry (the PR 9 shard supervisor): process-level
   /// retry/requeue history for supervised sharded campaigns. All zero when
   /// the campaign ran unsupervised or the entry predates supervision (the

@@ -6,8 +6,12 @@
 #include <cstdint>
 #include <numeric>
 #include <optional>
+#include <ostream>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "src/graph/csr.h"
 #include "src/graph/params.h"
@@ -36,31 +40,95 @@ struct StepDelta {
 };
 
 /// Publishes one finished run's counters into the installed metrics
-/// registry; a single null check when none is installed. Counters sum and
-/// gauges take the max under the registry's per-thread-cell merge, so the
-/// merged snapshot is identical for any worker-thread placement of runs.
+/// registry; a single null check when none is installed. Sum rows are
+/// counters and max rows gauges ("engine.<key>"); the registry sums and
+/// maxes them again across its per-thread cells, so the merged snapshot is
+/// identical for any worker-thread placement of runs. Timings, the thread
+/// count and the last-wins final_live_nodes are not metrics.
 void publish_engine_metrics(const EngineStats& stats, std::int64_t rounds) {
   telemetry::MetricsRegistry* reg = telemetry::metrics();
   if (reg == nullptr) return;
   reg->add("engine.runs", 1);
   reg->observe("engine.rounds", rounds);
-  reg->add("engine.messages", stats.total_messages);
-  reg->add("engine.steps", stats.total_steps);
-  reg->add("engine.kernel_steps", stats.kernel_steps);
-  reg->add("engine.vtable_steps", stats.vtable_steps);
-  reg->add("engine.kernel_batched_steps", stats.kernel_batched_steps);
-  reg->add("engine.kernel_batch_calls", stats.kernel_batch_calls);
-  reg->add("engine.dirty_spans_cleared", stats.dirty_spans_cleared);
-  reg->add("engine.messages_dropped", stats.messages_dropped);
-  reg->add("engine.messages_duplicated", stats.messages_duplicated);
-  reg->record_max("engine.peak_live_nodes", stats.peak_live_nodes);
-  reg->record_max("engine.peak_frontier_nodes", stats.peak_frontier_nodes);
-  reg->record_max("engine.peak_round_messages", stats.peak_round_messages);
-  reg->record_max("engine.max_delivery_skew", stats.max_delivery_skew);
-  reg->record_max("engine.arena_bytes", stats.arena_bytes);
+  for (const StatField& field : kEngineStatFields) {
+    const auto* member =
+        std::get_if<std::int64_t EngineStats::*>(&field.member);
+    if (member == nullptr) continue;
+    const std::string name = std::string("engine.") + field.key;
+    if (field.merge == StatMerge::kSum) reg->add(name, stats.**member);
+    if (field.merge == StatMerge::kMax) reg->record_max(name, stats.**member);
+  }
 }
 
 }  // namespace
+
+void EngineStats::merge(const EngineStats& other) {
+  for (const StatField& field : kEngineStatFields) {
+    std::visit(
+        [&](auto member) {
+          auto& mine = this->*member;
+          const auto theirs = other.*member;
+          switch (field.merge) {
+            case StatMerge::kSum: mine += theirs; break;
+            case StatMerge::kMax: mine = std::max(mine, theirs); break;
+            case StatMerge::kLast: mine = theirs; break;
+            case StatMerge::kDerived: break;
+          }
+        },
+        field.member);
+  }
+  steps_per_second = elapsed_seconds > 0.0
+                         ? static_cast<double>(total_steps) / elapsed_seconds
+                         : 0.0;
+}
+
+double stat_value(const EngineStats& stats, const StatField& field) {
+  return std::visit(
+      [&](auto member) { return static_cast<double>(stats.*member); },
+      field.member);
+}
+
+void write_stat(std::ostream& out, const EngineStats& stats,
+                const StatField& field) {
+  std::visit([&](auto member) { out << stats.*member; }, field.member);
+}
+
+json::Value engine_stats_to_json(const EngineStats& stats) {
+  json::Value out = json::Value::object();
+  for (const StatField& field : kEngineStatFields) {
+    std::visit(
+        [&](auto member) {
+          const auto value = stats.*member;
+          if constexpr (std::is_floating_point_v<decltype(value)>)
+            out.set(field.key, json::Value::number(value));
+          else
+            out.set(field.key,
+                    json::Value::number(static_cast<std::int64_t>(value)));
+        },
+        field.member);
+  }
+  return out;
+}
+
+EngineStats engine_stats_from_json(const json::Value& value) {
+  EngineStats stats;
+  for (const StatField& field : kEngineStatFields) {
+    std::visit(
+        [&](auto member) {
+          auto& target = stats.*member;
+          using T = std::remove_reference_t<decltype(target)>;
+          if constexpr (std::is_floating_point_v<T>)
+            target = value.at(field.key).as_double();
+          else
+            target = json::int_field<T>(value, field.key);
+          if (target < 0)
+            throw std::runtime_error(std::string("engine stats: \"") +
+                                     field.key + "\" is negative");
+        },
+        field.member);
+  }
+  return stats;
+}
 
 /// All storage the engine needs, owned by EngineWorkspace so consecutive
 /// runs (alternation steps, run_sequential stages) reuse capacity.

@@ -29,15 +29,21 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <variant>
 #include <vector>
 
 #include "src/runtime/instance.h"
 #include "src/runtime/kernel.h"
 #include "src/runtime/local.h"
 #include "src/runtime/network.h"
+#include "src/util/json.h"
 
 namespace unilocal {
 
@@ -118,34 +124,115 @@ struct EngineStats {
   int threads = 1;
 
   /// Folds another run's stats in (composed algorithms aggregate the stats
-  /// of their stages): counters add, high-water marks take the max, and
-  /// final_live_nodes tracks the most recently merged stage.
-  void merge(const EngineStats& other) {
-    arena_bytes = std::max(arena_bytes, other.arena_bytes);
-    peak_round_messages =
-        std::max(peak_round_messages, other.peak_round_messages);
-    total_messages += other.total_messages;
-    total_steps += other.total_steps;
-    kernel_steps += other.kernel_steps;
-    vtable_steps += other.vtable_steps;
-    kernel_batched_steps += other.kernel_batched_steps;
-    kernel_batch_calls += other.kernel_batch_calls;
-    peak_live_nodes = std::max(peak_live_nodes, other.peak_live_nodes);
-    final_live_nodes = other.final_live_nodes;
-    peak_frontier_nodes =
-        std::max(peak_frontier_nodes, other.peak_frontier_nodes);
-    dirty_spans_cleared += other.dirty_spans_cleared;
-    messages_dropped += other.messages_dropped;
-    messages_duplicated += other.messages_duplicated;
-    max_delivery_skew = std::max(max_delivery_skew, other.max_delivery_skew);
-    elapsed_seconds += other.elapsed_seconds;
-    steps_per_second =
-        elapsed_seconds > 0.0
-            ? static_cast<double>(total_steps) / elapsed_seconds
-            : 0.0;
-    threads = std::max(threads, other.threads);
+  /// of their stages), each field by its kEngineStatFields merge rule.
+  void merge(const EngineStats& other);
+
+  /// Kernel steps per batch call (the mean batch occupancy); 0 when no
+  /// batch call ran.
+  double batch_occupancy() const {
+    return kernel_batch_calls > 0
+               ? static_cast<double>(kernel_batched_steps) /
+                     static_cast<double>(kernel_batch_calls)
+               : 0.0;
   }
 };
+
+/// How EngineStats::merge folds a field of a later stage into the total.
+enum class StatMerge {
+  kSum,      // counters add
+  kMax,      // high-water marks take the max
+  kLast,     // the most recently merged stage wins
+  kDerived,  // recomputed from the merged totals (steps_per_second)
+};
+
+/// One EngineStats field: its key in every artifact (campaign CSV/JSON, run
+/// log, shard results, metrics as "engine.<key>", --stats-json), its member,
+/// and how it folds and reports.
+struct StatField {
+  const char* key;
+  std::variant<std::int64_t EngineStats::*, double EngineStats::*,
+               int EngineStats::*>
+      member;
+  StatMerge merge;
+  /// A pure function of the cell, so part of canonical campaign JSON. Not
+  /// canonical: wall-clock values, workspace capacities (they depend on
+  /// what the reused workspace ran before), the kernel/vtable split (it
+  /// depends on the kernel mode, not the grid), and the delivery-layer
+  /// fault counters (Observation 2.1 keeps outputs, rounds and verdicts
+  /// invariant under the delivery layer, not these).
+  bool canonical;
+  /// Campaign summaries and the run log carry its percentiles over the
+  /// solved cells. Double fields are wall-clock rates: a 0 there means the
+  /// run was too fast to time, and such cells are left out.
+  bool aggregate;
+};
+
+/// The only list of EngineStats fields: merge, the engine metrics, the
+/// campaign aggregates and every writer and reader loop over it, in this
+/// order. Adding a field takes one member above plus one row here (and its
+/// assignment in the engine's fill_stats).
+inline constexpr auto kEngineStatFields = std::to_array<StatField>({
+    // key, member, merge, canonical, aggregate
+    {"messages", &EngineStats::total_messages, StatMerge::kSum, true, true},
+    {"steps", &EngineStats::total_steps, StatMerge::kSum, true, false},
+    {"kernel_steps", &EngineStats::kernel_steps, StatMerge::kSum, false,
+     true},
+    {"vtable_steps", &EngineStats::vtable_steps, StatMerge::kSum, false,
+     true},
+    {"kernel_batched_steps", &EngineStats::kernel_batched_steps,
+     StatMerge::kSum, false, true},
+    {"kernel_batch_calls", &EngineStats::kernel_batch_calls, StatMerge::kSum,
+     false, false},
+    {"messages_dropped", &EngineStats::messages_dropped, StatMerge::kSum,
+     false, true},
+    {"messages_duplicated", &EngineStats::messages_duplicated,
+     StatMerge::kSum, false, true},
+    {"max_delivery_skew", &EngineStats::max_delivery_skew, StatMerge::kMax,
+     false, true},
+    {"steps_per_second", &EngineStats::steps_per_second, StatMerge::kDerived,
+     false, true},
+    {"arena_bytes", &EngineStats::arena_bytes, StatMerge::kMax, false, false},
+    {"peak_live_nodes", &EngineStats::peak_live_nodes, StatMerge::kMax, true,
+     true},
+    {"peak_frontier_nodes", &EngineStats::peak_frontier_nodes,
+     StatMerge::kMax, true, true},
+    {"dirty_spans_cleared", &EngineStats::dirty_spans_cleared,
+     StatMerge::kSum, true, true},
+    {"peak_round_messages", &EngineStats::peak_round_messages,
+     StatMerge::kMax, false, false},
+    {"final_live_nodes", &EngineStats::final_live_nodes, StatMerge::kLast,
+     false, false},
+    {"elapsed_seconds", &EngineStats::elapsed_seconds, StatMerge::kSum,
+     false, false},
+    {"threads", &EngineStats::threads, StatMerge::kMax, false, false},
+});
+
+/// The row of `member` in kEngineStatFields.
+template <class T>
+constexpr std::size_t stat_field_index(T EngineStats::*member) {
+  for (std::size_t i = 0; i < kEngineStatFields.size(); ++i) {
+    const auto* row =
+        std::get_if<T EngineStats::*>(&kEngineStatFields[i].member);
+    if (row != nullptr && *row == member) return i;
+  }
+  throw std::logic_error("EngineStats member without a kEngineStatFields row");
+}
+
+/// A field's value as a double (the campaign percentiles).
+double stat_value(const EngineStats& stats, const StatField& field);
+
+/// Streams a field's value: integers as integers, doubles at the stream's
+/// precision.
+void write_stat(std::ostream& out, const EngineStats& stats,
+                const StatField& field);
+
+/// Every field as one JSON object keyed by StatField::key (shard results,
+/// --stats-json).
+json::Value engine_stats_to_json(const EngineStats& stats);
+
+/// The inverse; throws std::runtime_error when a field is missing, negative,
+/// or out of its member's range.
+EngineStats engine_stats_from_json(const json::Value& value);
 
 struct RunResult {
   std::vector<std::int64_t> outputs;

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -110,6 +111,18 @@ class Value {
   Array array_;
   Object object_;
 };
+
+/// object.at(key).as_i64() narrowed to the integer type T. Throws
+/// std::runtime_error naming the key when the value does not fit, where a
+/// bare static_cast would wrap ("nodes": 4294967301 into an int32 is 5).
+template <class T>
+T int_field(const Value& object, const std::string& key) {
+  const std::int64_t value = object.at(key).as_i64();
+  if (!std::in_range<T>(value))
+    throw std::runtime_error("json: \"" + key + "\" = " +
+                             std::to_string(value) + " is out of range");
+  return static_cast<T>(value);
+}
 
 }  // namespace json
 }  // namespace unilocal

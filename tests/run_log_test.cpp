@@ -56,13 +56,15 @@ TEST_F(RunLogTest, AppendsOneParseableLinePerRun) {
     EXPECT_EQ(entry.workers, result.workers);
     EXPECT_DOUBLE_EQ(entry.rounds.p50, result.rounds.p50);
     EXPECT_DOUBLE_EQ(entry.rounds.max, result.rounds.max);
-    EXPECT_DOUBLE_EQ(entry.messages.p90, result.messages.p90);
+    EXPECT_DOUBLE_EQ(entry.stats[&EngineStats::total_messages].p90,
+                     result.stats[&EngineStats::total_messages].p90);
     // Frontier telemetry blocks ride along.
-    EXPECT_DOUBLE_EQ(entry.peak_live_nodes.max, result.peak_live_nodes.max);
-    EXPECT_DOUBLE_EQ(entry.peak_frontier_nodes.p50,
-                     result.peak_frontier_nodes.p50);
-    EXPECT_DOUBLE_EQ(entry.dirty_spans_cleared.p99,
-                     result.dirty_spans_cleared.p99);
+    EXPECT_DOUBLE_EQ(entry.stats[&EngineStats::peak_live_nodes].max,
+                     result.stats[&EngineStats::peak_live_nodes].max);
+    EXPECT_DOUBLE_EQ(entry.stats[&EngineStats::peak_frontier_nodes].p50,
+                     result.stats[&EngineStats::peak_frontier_nodes].p50);
+    EXPECT_DOUBLE_EQ(entry.stats[&EngineStats::dirty_spans_cleared].p99,
+                     result.stats[&EngineStats::dirty_spans_cleared].p99);
     // ISO-8601 UTC stamp.
     ASSERT_EQ(entry.date.size(), 20u) << entry.date;
     EXPECT_EQ(entry.date[10], 'T');
@@ -87,8 +89,9 @@ TEST_F(RunLogTest, ToleratesEntriesWithoutTelemetryBlocks) {
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].grid_hash, 42u);
   EXPECT_DOUBLE_EQ(entries[0].rounds.max, 4.0);
-  EXPECT_DOUBLE_EQ(entries[0].peak_live_nodes.max, 0.0);
-  EXPECT_DOUBLE_EQ(entries[0].dirty_spans_cleared.p50, 0.0);
+  EXPECT_DOUBLE_EQ(entries[0].stats[&EngineStats::peak_live_nodes].max, 0.0);
+  EXPECT_DOUBLE_EQ(entries[0].stats[&EngineStats::dirty_spans_cleared].p50,
+                   0.0);
 }
 
 TEST_F(RunLogTest, SupervisionBlockRoundTripsAndIsOmittedWhenUnsupervised) {

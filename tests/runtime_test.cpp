@@ -232,24 +232,6 @@ TEST(RunnerStats, SynchronizerFrontierCounters) {
   EXPECT_GE(result.global_rounds, 10);
 }
 
-TEST(RunnerStats, StatsMergeFoldsLiveCounters) {
-  EngineStats a;
-  a.peak_live_nodes = 10;
-  a.peak_frontier_nodes = 4;
-  a.final_live_nodes = 2;
-  a.dirty_spans_cleared = 7;
-  EngineStats b;
-  b.peak_live_nodes = 6;
-  b.peak_frontier_nodes = 9;
-  b.final_live_nodes = 0;
-  b.dirty_spans_cleared = 5;
-  a.merge(b);
-  EXPECT_EQ(a.peak_live_nodes, 10);
-  EXPECT_EQ(a.peak_frontier_nodes, 9);
-  EXPECT_EQ(a.final_live_nodes, 0);  // last merged stage wins
-  EXPECT_EQ(a.dirty_spans_cleared, 12);
-}
-
 TEST(RunnerSynchronized, StaggeredWakeupsSameAnswer) {
   Instance instance = make_instance(path_graph(7), IdentityScheme::kSequential);
   RunOptions options;

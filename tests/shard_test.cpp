@@ -113,10 +113,12 @@ TEST(Shard, MergeIsBitIdenticalToSingleProcessOverTable1) {
       EXPECT_EQ(merged.failed, 0);
       EXPECT_DOUBLE_EQ(merged.rounds.p50, single.rounds.p50);
       EXPECT_DOUBLE_EQ(merged.rounds.max, single.rounds.max);
-      EXPECT_DOUBLE_EQ(merged.messages.p90, single.messages.p90);
-      EXPECT_DOUBLE_EQ(merged.peak_live_nodes.p99, single.peak_live_nodes.p99);
-      EXPECT_DOUBLE_EQ(merged.dirty_spans_cleared.max,
-                       single.dirty_spans_cleared.max);
+      EXPECT_DOUBLE_EQ(merged.stats[&EngineStats::total_messages].p90,
+                       single.stats[&EngineStats::total_messages].p90);
+      EXPECT_DOUBLE_EQ(merged.stats[&EngineStats::peak_live_nodes].p99,
+                       single.stats[&EngineStats::peak_live_nodes].p99);
+      EXPECT_DOUBLE_EQ(merged.stats[&EngineStats::dirty_spans_cleared].max,
+                       single.stats[&EngineStats::dirty_spans_cleared].max);
     }
   }
 }
@@ -289,6 +291,59 @@ TEST(Shard, PlanFromJsonRejectsIncompleteCoverage) {
       if (mkey == "cells") mvalue.as_array().pop_back();
   }
   EXPECT_THROW(ShardPlan::from_json(doc), std::runtime_error);
+}
+
+/// The member `key` of a JSON object.
+json::Value& member(json::Value& object, const std::string& key) {
+  for (auto& [name, value] : object.as_object())
+    if (name == key) return value;
+  throw std::runtime_error("test document has no member " + key);
+}
+
+TEST(Shard, ReadersRejectOutOfRangeAndNegativeValues) {
+  // A bare static_cast would read 4294967301 into an int32 as 5, and a
+  // negative counter would flow into the merged aggregates.
+  const ShardPlan plan = plan_shards(tiny_grid(), 1, ShardPolicy::kRoundRobin);
+  const json::Value manifest = plan.shards[0].to_json();
+  const json::Value result = run_shard(plan.shards[0], {}).to_json();
+  ASSERT_NO_THROW(ShardManifest::from_json(manifest));
+  ASSERT_NO_THROW(ShardResult::from_json(result));
+  const json::Value too_big = json::Value::number(std::int64_t{4294967301});
+  const auto first_cell = [](json::Value& doc) -> json::Value& {
+    return member(doc, "cells").as_array()[0];
+  };
+  for (const char* key : {"shard_index", "num_shards"}) {
+    json::Value doc = manifest;
+    member(doc, key) = too_big;
+    EXPECT_THROW(ShardManifest::from_json(doc), std::runtime_error) << key;
+  }
+  {
+    json::Value doc = manifest;
+    member(first_cell(doc), "n") = too_big;
+    EXPECT_THROW(ShardManifest::from_json(doc), std::runtime_error);
+  }
+  for (const char* key : {"shard_index", "num_shards", "workers"}) {
+    json::Value doc = result;
+    member(doc, key) = too_big;
+    EXPECT_THROW(ShardResult::from_json(doc), std::runtime_error) << key;
+  }
+  for (const char* key : {"n", "nodes"}) {
+    json::Value doc = result;
+    member(first_cell(doc), key) = too_big;
+    EXPECT_THROW(ShardResult::from_json(doc), std::runtime_error) << key;
+  }
+  {
+    json::Value doc = result;
+    member(member(first_cell(doc), "stats"), "threads") = too_big;
+    EXPECT_THROW(ShardResult::from_json(doc), std::runtime_error);
+  }
+  for (const StatField& field : kEngineStatFields) {
+    json::Value doc = result;
+    member(member(first_cell(doc), "stats"), field.key) =
+        json::Value::number(std::int64_t{-1});
+    EXPECT_THROW(ShardResult::from_json(doc), std::runtime_error)
+        << field.key;
+  }
 }
 
 TEST(Shard, CostBalancedBoundsTheSkewRoundRobinDoesNot) {
