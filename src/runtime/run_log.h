@@ -1,9 +1,9 @@
 // Append-only campaign run-log: one JSON line per recorded sweep (UTC
 // date, grid hash, worker count, outcome counts, the rounds and engine
-// counter percentiles), so future perf changes can diff a fresh run against
-// recorded sweeps of the *same* grid without re-running history. The grid hash
-// covers every cell's (scenario, params, algorithm, seed, identities) —
-// two results compare only when they swept identical work.
+// counter percentiles), so future perf changes can diff a fresh run
+// against recorded sweeps of the *same* grid without re-running history.
+// The grid hash covers every cell's (scenario, params, algorithm, seed,
+// identities) — two results compare only when they swept identical work.
 #pragma once
 
 #include <cstdint>

@@ -6,7 +6,8 @@
 // counter fails here, whatever the machine's speed.
 //
 // After an intended change to the canonical document, regenerate the file
-// with `unilocal_cli table1 --smoke --canonical > tests/data/...json`.
+// with `unilocal_cli table1 --smoke --canonical` redirected into
+// tests/data/table1_smoke_canonical.json.
 #include <gtest/gtest.h>
 
 #include <fstream>
