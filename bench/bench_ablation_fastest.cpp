@@ -57,9 +57,9 @@ void run() {
                             ? IdentityScheme::kSequential
                             : IdentityScheme::kRandomPermuted;
     Instance instance = make_instance(graph, scheme, 13);
-    const std::int64_t rg = global->run(instance, huge, 1).rounds;
-    const std::int64_t rd = degree->run(instance, huge, 1).rounds;
-    const std::int64_t ra = arb->run(instance, huge, 1).rounds;
+    const std::int64_t rg = global->run(instance, huge, 1, {}).rounds;
+    const std::int64_t rd = degree->run(instance, huge, 1, {}).rounds;
+    const std::int64_t ra = arb->run(instance, huge, 1, {}).rounds;
     const UniformRunResult combined =
         run_fastest(instance, executables, *pruning);
     const std::int64_t best = std::min({rg, rd, ra});

@@ -106,8 +106,9 @@ void run_engine_bench(benchmark::State& state, const Instance& instance,
     RunOptions options;
     options.seed = seed++;
     options.num_threads = threads;
+    options.workspace = &workspace;
     const RunResult result =
-        arena ? run_local(instance, LubyMis{}, options, &workspace)
+        arena ? run_local(instance, LubyMis{}, options)
               : run_local_reference(instance, LubyMis{}, options);
     steps += result.stats.total_steps;
     benchmark::DoNotOptimize(result.outputs.data());
@@ -167,8 +168,8 @@ void run_kernel_bench(benchmark::State& state, const Instance& instance,
     options.seed = seed++;
     options.num_threads = 1;
     options.kernel_mode = mode;
-    const RunResult result =
-        run_local(instance, algorithm, options, &workspace);
+    options.workspace = &workspace;
+    const RunResult result = run_local(instance, algorithm, options);
     steps += result.stats.total_steps;
     benchmark::DoNotOptimize(result.outputs.data());
   }
@@ -351,9 +352,10 @@ void BM_EngineLongTail_CaterpillarStragglers(benchmark::State& state) {
   const StragglerCountdown algorithm;
   std::int64_t rounds = 0;
   EngineWorkspace workspace;
+  RunOptions options;
+  options.workspace = &workspace;
   for (auto _ : state) {
-    const RunResult result =
-        run_local(instance, algorithm, RunOptions{}, &workspace);
+    const RunResult result = run_local(instance, algorithm, options);
     rounds += result.rounds_used;
     benchmark::DoNotOptimize(result.outputs.data());
   }
@@ -376,9 +378,9 @@ void BM_EngineLongTail_CaterpillarSyncStragglers(benchmark::State& state) {
   const StragglerCountdown algorithm;
   std::int64_t global_rounds = 0;
   EngineWorkspace workspace;
+  options.workspace = &workspace;
   for (auto _ : state) {
-    const RunResult result =
-        run_local(instance, algorithm, options, &workspace);
+    const RunResult result = run_local(instance, algorithm, options);
     global_rounds += result.global_rounds;
     benchmark::DoNotOptimize(result.outputs.data());
   }
@@ -403,10 +405,10 @@ void BM_EngineLongTail_GnpLubyWakeTail(benchmark::State& state) {
   std::uint64_t seed = 1;
   std::int64_t global_rounds = 0;
   EngineWorkspace workspace;
+  options.workspace = &workspace;
   for (auto _ : state) {
     options.seed = seed++;
-    const RunResult result =
-        run_local(instance, algorithm, options, &workspace);
+    const RunResult result = run_local(instance, algorithm, options);
     global_rounds += result.global_rounds;
     benchmark::DoNotOptimize(result.outputs.data());
   }

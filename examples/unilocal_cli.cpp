@@ -85,6 +85,7 @@
 // them; that is the point of the paper.
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -191,6 +192,29 @@ std::vector<std::string> split_csv(const std::string& text) {
   while (std::getline(in, item, ','))
     if (!item.empty()) result.push_back(item);
   return result;
+}
+
+/// A count flag (--workers, --seeds, --n, --shards): the whole value must
+/// be an integer in [1, INT_MAX]. Throws std::runtime_error naming the flag
+/// otherwise.
+int parse_count(const char* flag, const std::string& text) {
+  int value = 0;
+  const char* end = text.data() + text.size();
+  const auto [rest, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || rest != end || value < 1)
+    throw std::runtime_error(std::string(flag) +
+                             ": expected a positive integer, got '" + text +
+                             "'");
+  return value;
+}
+
+/// --kernel=off|auto|on, the engine path flag every subcommand shares.
+/// Returns false for any other argument; throws std::runtime_error on an
+/// unknown mode.
+bool consume_kernel_flag(const std::string& arg, KernelMode& mode) {
+  if (arg.rfind("--kernel=", 0) != 0) return false;
+  mode = parse_kernel_mode(arg.substr(arg.find('=') + 1));
+  return true;
 }
 
 /// The delivery-layer flag group every subcommand shares: --network=SPEC[,..]
@@ -701,7 +725,7 @@ int run_shard_plan(int argc, char** argv) {
     } else if (arg.rfind("--dir=", 0) == 0) {
       dir = value();
     } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::stoi(value());
+      shards = parse_count("--shards", value());
     } else if (arg.rfind("--policy=", 0) == 0) {
       policy = parse_shard_policy(value());
     } else if (arg.rfind("--scenarios=", 0) == 0) {
@@ -710,14 +734,14 @@ int run_shard_plan(int argc, char** argv) {
                arg.rfind("--algos=", 0) == 0) {
       algorithm_patterns = split_csv(value());
     } else if (arg.rfind("--n=", 0) == 0) {
-      params.n = static_cast<NodeId>(std::stol(value()));
+      params.n = parse_count("--n", value());
       n_given = true;
     } else if (arg.rfind("--a=", 0) == 0) {
       params.a = std::stod(value());
     } else if (arg.rfind("--b=", 0) == 0) {
       params.b = std::stod(value());
     } else if (arg.rfind("--seeds=", 0) == 0) {
-      seeds = std::stoi(value());
+      seeds = parse_count("--seeds", value());
       seeds_given = true;
     } else {
       return usage();
@@ -783,13 +807,11 @@ int run_shard_run(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
-    if (telemetry_flags.consume(arg)) {
+    if (telemetry_flags.consume(arg) || consume_kernel_flag(arg, kernel_mode)) {
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = value();
     } else if (arg.rfind("--workers=", 0) == 0) {
-      workers = static_cast<unsigned>(std::stoi(value()));
-    } else if (arg.rfind("--kernel=", 0) == 0) {
-      kernel_mode = parse_kernel_mode(value());
+      workers = static_cast<unsigned>(parse_count("--workers", value()));
     } else if (arg.rfind("--inject=", 0) == 0) {
       const std::uint64_t seed = chaos.seed;
       chaos = parse_chaos_spec(value());
@@ -940,7 +962,7 @@ int run_sweep(int argc, char** argv) {
     const std::string arg = argv[i];
     const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
     if (network_flags.consume(arg) || supervisor_flags.consume(arg) ||
-        telemetry_flags.consume(arg)) {
+        telemetry_flags.consume(arg) || consume_kernel_flag(arg, kernel_mode)) {
     } else if (arg == "--list") {
       const auto& registry = default_algorithm_registry();
       std::printf("scenario families:\n");
@@ -969,20 +991,18 @@ int run_sweep(int argc, char** argv) {
                arg.rfind("--algos=", 0) == 0) {
       algorithm_patterns = split_csv(value());
     } else if (arg.rfind("--n=", 0) == 0) {
-      params.n = static_cast<NodeId>(std::stol(value()));
+      params.n = parse_count("--n", value());
     } else if (arg.rfind("--a=", 0) == 0) {
       params.a = std::stod(value());
     } else if (arg.rfind("--b=", 0) == 0) {
       params.b = std::stod(value());
     } else if (arg.rfind("--seeds=", 0) == 0) {
-      seeds = std::stoi(value());
+      seeds = parse_count("--seeds", value());
     } else if (arg.rfind("--workers=", 0) == 0) {
-      workers = static_cast<unsigned>(std::stoi(value()));
+      workers = static_cast<unsigned>(parse_count("--workers", value()));
       workers_given = true;
-    } else if (arg.rfind("--kernel=", 0) == 0) {
-      kernel_mode = parse_kernel_mode(value());
     } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::stoi(value());
+      shards = parse_count("--shards", value());
     } else if (arg.rfind("--policy=", 0) == 0) {
       policy = parse_shard_policy(value());
     } else if (arg == "--canonical") {
@@ -1058,22 +1078,20 @@ int run_table1(int argc, char** argv) {
     const std::string arg = argv[i];
     const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
     if (network_flags.consume(arg) || supervisor_flags.consume(arg) ||
-        telemetry_flags.consume(arg)) {
+        telemetry_flags.consume(arg) || consume_kernel_flag(arg, kernel_mode)) {
     } else if (arg == "--smoke") {
       smoke = true;
     } else if (arg.rfind("--n=", 0) == 0) {
-      params.n = static_cast<NodeId>(std::stol(value()));
+      params.n = parse_count("--n", value());
       n_given = true;
     } else if (arg.rfind("--seeds=", 0) == 0) {
-      seeds = std::stoi(value());
+      seeds = parse_count("--seeds", value());
       seeds_given = true;
     } else if (arg.rfind("--workers=", 0) == 0) {
-      workers = static_cast<unsigned>(std::stoi(value()));
+      workers = static_cast<unsigned>(parse_count("--workers", value()));
       workers_given = true;
-    } else if (arg.rfind("--kernel=", 0) == 0) {
-      kernel_mode = parse_kernel_mode(value());
     } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::stoi(value());
+      shards = parse_count("--shards", value());
     } else if (arg.rfind("--policy=", 0) == 0) {
       policy = parse_shard_policy(value());
     } else if (arg == "--canonical") {
@@ -1188,9 +1206,10 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     bool consumed = false;
     try {
-      // Malformed --network=/--drop=/... values are rejected here with an
-      // error naming the flag, exactly like --kernel= below.
-      consumed = network_flags.consume(arg) || telemetry_flags.consume(arg);
+      // Malformed --network=/--drop=/--kernel=/... values are rejected
+      // here with an error naming the flag.
+      consumed = network_flags.consume(arg) || telemetry_flags.consume(arg) ||
+                 consume_kernel_flag(arg, run_options.kernel_mode);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return usage();
@@ -1200,13 +1219,6 @@ int main(int argc, char** argv) {
       stats_json_path = arg.substr(arg.find('=') + 1);
     } else if (arg == "--stats") {
       want_stats = true;
-    } else if (arg.rfind("--kernel=", 0) == 0) {
-      try {
-        run_options.kernel_mode = parse_kernel_mode(argv[i] + 9);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return usage();
-      }
     } else if (problem_arg == nullptr) {
       problem_arg = argv[i];
     } else if (file == nullptr) {

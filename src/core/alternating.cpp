@@ -6,10 +6,9 @@ namespace unilocal {
 
 AlternatingDriver::AlternatingDriver(Instance initial,
                                      const PruningAlgorithm& pruning,
-                                     EngineWorkspace* external_workspace)
-    : pruning_(pruning),
-      current_(std::move(initial)),
-      external_workspace_(external_workspace) {
+                                     const ExecPolicy& policy)
+    : pruning_(pruning), current_(std::move(initial)), policy_(policy) {
+  if (policy_.workspace == nullptr) policy_.workspace = &workspace_;
   const NodeId n = current_.num_nodes();
   to_original_.resize(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) to_original_[static_cast<std::size_t>(v)] = v;
@@ -20,14 +19,10 @@ NodeId AlternatingDriver::run_step(const Algorithm& algorithm,
                                    std::int64_t budget, std::uint64_t seed,
                                    SubIterationTrace* trace) {
   if (done()) return 0;
-  RunOptions options;
+  RunOptions options{policy_};
   options.max_rounds = budget;
   options.seed = seed;
-  options.num_threads = std::max(1, engine_threads);
-  options.kernel_mode = kernel_mode;
-  options.network = network;
-  const RunResult result =
-      run_local(current_, algorithm, options, &workspace());
+  const RunResult result = run_local(current_, algorithm, options);
   stats_.merge(result.stats);
   if (trace != nullptr) {
     trace->algorithm = algorithm.name();

@@ -32,32 +32,20 @@ struct SubIterationTrace {
 
 class AlternatingDriver {
  public:
-  /// When `external_workspace` is non-null the driver runs every step in
-  /// that workspace instead of its own — how a nested driver (Theorem 4
-  /// running a transformer-produced executable, or a campaign cell running
-  /// on a checked-out workspace) joins its caller's arena.
+  /// Every engine run the driver issues, including those of the
+  /// executables run_custom_step drives, follows `policy`. When it lends no
+  /// workspace the driver lends its own, so the whole composed algorithm
+  /// shares one arena instead of re-allocating per step; a lent one is how
+  /// a nested driver (Theorem 4 running a transformer-produced executable,
+  /// or a campaign cell on a checked-out workspace) joins its caller's.
   AlternatingDriver(Instance initial, const PruningAlgorithm& pruning,
-                    EngineWorkspace* external_workspace = nullptr);
+                    const ExecPolicy& policy = {});
+  // policy_ may point at workspace_.
+  AlternatingDriver(const AlternatingDriver&) = delete;
+  AlternatingDriver& operator=(const AlternatingDriver&) = delete;
 
-  /// Engine buffers shared by every step of the alternation (and lendable
-  /// to the executables run_custom_step drives): one arena for the whole
-  /// composed algorithm instead of per-stage re-allocation.
-  EngineWorkspace& workspace() noexcept {
-    return external_workspace_ != nullptr ? *external_workspace_
-                                          : workspace_;
-  }
-
-  /// RunOptions::num_threads of every engine run the driver issues. The
-  /// engine is thread-count invariant, so this only affects latency.
-  int engine_threads = 1;
-
-  /// RunOptions::kernel_mode of every engine run the driver issues (flat
-  /// step kernels vs the Process vtable path; outputs are bit-identical).
-  KernelMode kernel_mode = KernelMode::kAuto;
-
-  /// RunOptions::network of every engine run the driver issues (synchronous
-  /// arena vs the seeded event-queue transport).
-  NetworkOptions network;
+  /// The policy every step runs under; its workspace is never null.
+  const ExecPolicy& policy() const noexcept { return policy_; }
 
   bool done() const noexcept { return current_.num_nodes() == 0; }
   NodeId remaining() const noexcept { return current_.num_nodes(); }
@@ -98,7 +86,7 @@ class AlternatingDriver {
   const PruningAlgorithm& pruning_;
   Instance current_;
   EngineWorkspace workspace_;
-  EngineWorkspace* external_workspace_ = nullptr;
+  ExecPolicy policy_;
   std::vector<NodeId> to_original_;
   std::vector<std::int64_t> outputs_;
   std::int64_t total_rounds_ = 0;

@@ -203,11 +203,12 @@ ColoringTransformResult run_uniform_coloring_transform(
   };
 
   std::uint64_t seed = options.seed;
-  // One arena across every layer's phase-2 run; joins the caller's lent
+  // One arena across both phases of every layer; joins the caller's lent
   // workspace when there is one (campaign cells lend their checked-out one).
   EngineWorkspace local_workspace;
-  EngineWorkspace* workspace =
-      options.workspace != nullptr ? options.workspace : &local_workspace;
+  UniformRunOptions layer_options = options;
+  layer_options.check_problem = nullptr;
+  if (options.workspace == nullptr) layer_options.workspace = &local_workspace;
   for (int layer = 0; layer + 1 < static_cast<int>(thresholds.size());
        ++layer) {
     std::vector<bool> keep(static_cast<std::size_t>(n), false);
@@ -235,11 +236,9 @@ ColoringTransformResult run_uniform_coloring_transform(
     Instance layer_instance = restrict_instance(instance, sub, slc_inputs);
     const SlcSolver solver(algorithm, delta_hat);
     const SlcPruning slc_pruning;
-    UniformRunOptions phase1_options = options;
-    phase1_options.seed = seed++;
-    phase1_options.check_problem = nullptr;
+    layer_options.seed = seed++;
     const UniformRunResult phase1 = run_uniform_transformer(
-        layer_instance, solver, slc_pruning, phase1_options);
+        layer_instance, solver, slc_pruning, layer_options);
     result.engine_stats.merge(phase1.engine_stats);
     if (!phase1.solved) {
       result.solved = false;
@@ -259,14 +258,10 @@ ColoringTransformResult run_uniform_coloring_transform(
       recolor_instance.inputs[static_cast<std::size_t>(v)] = {initial};
     }
     const auto phase2_algorithm = algorithm.instantiate(delta_hat, m_phase2);
-    RunOptions run_options;
+    RunOptions run_options{layer_options};
     run_options.seed = seed++;
-    run_options.num_threads = std::max(1, options.engine_threads);
-    run_options.kernel_mode = options.kernel_mode;
-    run_options.network = options.network;
     const RunResult phase2 =
-        run_local(recolor_instance, *phase2_algorithm, run_options,
-                  workspace);
+        run_local(recolor_instance, *phase2_algorithm, run_options);
     result.engine_stats.merge(phase2.stats);
     if (!phase2.all_finished) {
       result.solved = false;

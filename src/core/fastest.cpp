@@ -16,15 +16,11 @@ class LocalExecutable final : public UniformExecutable {
   std::string name() const override { return algorithm_->name(); }
   AlternatingDriver::CustomOutcome run(
       const Instance& instance, std::int64_t budget, std::uint64_t seed,
-      EngineWorkspace* workspace, int engine_threads, KernelMode kernel_mode,
-      const NetworkOptions& network) const override {
-    RunOptions options;
+      const ExecPolicy& policy) const override {
+    RunOptions options{policy};
     options.max_rounds = budget;
     options.seed = seed;
-    options.num_threads = std::max(1, engine_threads);
-    options.kernel_mode = kernel_mode;
-    options.network = network;
-    RunResult result = run_local(instance, *algorithm_, options, workspace);
+    RunResult result = run_local(instance, *algorithm_, options);
     return {std::move(result.outputs), result.rounds_used, result.stats};
   }
 
@@ -42,18 +38,13 @@ class TransformedExecutable final : public UniformExecutable {
   }
   AlternatingDriver::CustomOutcome run(
       const Instance& instance, std::int64_t budget, std::uint64_t seed,
-      EngineWorkspace* workspace, int engine_threads, KernelMode kernel_mode,
-      const NetworkOptions& network) const override {
+      const ExecPolicy& policy) const override {
     // The nested transformer's driver joins the lent arena (when the caller
     // lends one), so every Theorem-1/2/3 sub-run shares the outer driver's
     // workspace instead of re-allocating its own.
-    UniformRunOptions options;
+    UniformRunOptions options{policy};
     options.seed = seed;
     options.round_cap = budget;
-    options.workspace = workspace;
-    options.engine_threads = engine_threads;
-    options.kernel_mode = kernel_mode;
-    options.network = network;
     UniformRunResult result =
         run_uniform_transformer(instance, *algorithm_, *pruning_, options);
     return {std::move(result.outputs), result.total_rounds,
@@ -83,10 +74,7 @@ UniformRunResult run_fastest(
     const Instance& instance,
     const std::vector<const UniformExecutable*>& algorithms,
     const PruningAlgorithm& pruning, const UniformRunOptions& options) {
-  AlternatingDriver driver(instance, pruning, options.workspace);
-  driver.engine_threads = options.engine_threads;
-  driver.kernel_mode = options.kernel_mode;
-  driver.network = options.network;
+  AlternatingDriver driver(instance, pruning, options);
   UniformRunResult result;
   std::uint64_t seed = options.seed;
   for (int i = 1; i <= options.max_iterations && !driver.done(); ++i) {
@@ -107,9 +95,7 @@ UniformRunResult run_fastest(
       driver.run_custom_step(
           [&](const Instance& current) {
             return algorithm->run(current, budget, step_seed,
-                                  &driver.workspace(),
-                                  options.engine_threads,
-                                  options.kernel_mode, options.network);
+                                  driver.policy());
           },
           &trace);
       result.trace.push_back(std::move(trace));

@@ -22,15 +22,12 @@ class UniformExecutable {
   /// Returns tentative outputs (arbitrary 0 where unfinished) and the
   /// rounds consumed (<= budget for plain algorithms; transformer-backed
   /// executables may overshoot by their last sub-iteration, a constant
-  /// factor absorbed by the doubling). When the caller lends a workspace
-  /// (run_fastest lends its driver's), the executable runs in that arena;
-  /// engine_threads is the RunOptions::num_threads of every engine run the
-  /// executable issues (thread-count invariant, latency only).
+  /// factor absorbed by the doubling). Every engine run the executable
+  /// issues follows `policy` (run_fastest passes its driver's, so the
+  /// executable joins the driver's arena).
   virtual AlternatingDriver::CustomOutcome run(
       const Instance& instance, std::int64_t budget, std::uint64_t seed,
-      EngineWorkspace* workspace = nullptr, int engine_threads = 1,
-      KernelMode kernel_mode = KernelMode::kAuto,
-      const NetworkOptions& network = {}) const = 0;
+      const ExecPolicy& policy) const = 0;
 };
 
 /// Wraps a plain LOCAL algorithm (e.g. Luby, greedy MIS).

@@ -12,10 +12,7 @@ UniformRunResult run_las_vegas_transformer(const Instance& instance,
                                            const UniformRunOptions& options) {
   assert(algorithm.gamma() == algorithm.lambda());
 
-  AlternatingDriver driver(instance, pruning, options.workspace);
-  driver.engine_threads = options.engine_threads;
-  driver.kernel_mode = options.kernel_mode;
-  driver.network = options.network;
+  AlternatingDriver driver(instance, pruning, options);
   UniformRunResult result;
   std::uint64_t seed = options.seed;
   const std::int64_t c = algorithm.bound().bounding_constant();

@@ -18,10 +18,7 @@ UniformRunResult run_uniform_transformer(const Instance& instance,
   // The driver's workspace carries one message arena through every
   // (A restricted to c*2^i ; P) sub-iteration below — the sequential
   // composition never re-allocates engine state between stages.
-  AlternatingDriver driver(instance, pruning, options.workspace);
-  driver.engine_threads = options.engine_threads;
-  driver.kernel_mode = options.kernel_mode;
-  driver.network = options.network;
+  AlternatingDriver driver(instance, pruning, options);
   UniformRunResult result;
   std::uint64_t seed = options.seed;
   const std::int64_t c = algorithm.bound().bounding_constant();

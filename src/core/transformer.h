@@ -17,7 +17,7 @@
 
 namespace unilocal {
 
-struct UniformRunOptions {
+struct UniformRunOptions : ExecPolicy {
   std::uint64_t seed = 1;
   /// Safety cap on iterations (2^i budgets overflow long before this).
   int max_iterations = 48;
@@ -27,22 +27,6 @@ struct UniformRunOptions {
   /// (used to run a transformer-produced uniform algorithm "restricted to T
   /// rounds" inside Theorem 4). < 0 means unlimited.
   std::int64_t round_cap = -1;
-  /// Optional lent engine workspace: the transformer's driver runs every
-  /// sub-iteration in this arena instead of allocating its own (Theorem 4
-  /// lends its driver's workspace; campaign cells lend their checked-out
-  /// one). Not safe to share between concurrent runs.
-  EngineWorkspace* workspace = nullptr;
-  /// Worker threads for every engine run driven by this transformer
-  /// (RunOptions::num_threads of each sub-iteration). The engine is
-  /// thread-count invariant, so outputs are bit-identical for any value;
-  /// campaigns raise it for large cells to cut tail latency.
-  int engine_threads = 1;
-  /// RunOptions::kernel_mode of every sub-iteration (flat step kernels vs
-  /// the Process vtable path; outputs are bit-identical either way).
-  KernelMode kernel_mode = KernelMode::kAuto;
-  /// RunOptions::network of every sub-iteration (synchronous arena vs the
-  /// seeded event-queue transport with latency/fault injection).
-  NetworkOptions network;
 };
 
 struct UniformRunResult {

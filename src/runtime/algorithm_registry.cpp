@@ -144,21 +144,14 @@ std::vector<std::string> AlgorithmRegistry::resolve(
 namespace {
 
 UniformRunOptions uniform_options(const AlgorithmRunContext& context) {
-  UniformRunOptions options;
+  UniformRunOptions options{context};
   options.seed = context.seed;
-  options.workspace = context.workspace;
-  options.engine_threads = context.engine_threads;
-  options.kernel_mode = context.kernel_mode;
-  options.network = context.network;
   return options;
 }
 
 RunOptions local_options(const AlgorithmRunContext& context) {
-  RunOptions options;
+  RunOptions options{context};
   options.seed = context.seed;
-  options.num_threads = std::max(1, context.engine_threads);
-  options.kernel_mode = context.kernel_mode;
-  options.network = context.network;
   return options;
 }
 
@@ -179,9 +172,7 @@ CellOutcome run_correct_guess_baseline(const NonUniformAlgorithm& wrapped,
                                        const Instance& instance,
                                        const AlgorithmRunContext& context) {
   const auto algorithm = instantiate_with_correct_guesses(wrapped, instance);
-  return from_local(
-      run_local(instance, *algorithm, local_options(context),
-                context.workspace));
+  return from_local(run_local(instance, *algorithm, local_options(context)));
 }
 
 /// Theorem 3 wrapper that leaves Lambda = {n}: eliminates the arboricity
@@ -347,8 +338,7 @@ AlgorithmRegistry make_default_registry() {
          const LubyMis luby;
          RunOptions options = local_options(context);
          options.max_rounds = std::int64_t{1} << 24;
-         return from_local(
-             run_local(instance, luby, options, context.workspace));
+         return from_local(run_local(instance, luby, options));
        }});
 
   // --- coloring ------------------------------------------------------------
@@ -446,9 +436,8 @@ AlgorithmRegistry make_default_registry() {
                instance.identities[static_cast<std::size_t>(v)]};
          const ColorReduce algorithm(
              std::max<std::int64_t>(instance.max_identity(), 1), 0);
-         return from_local(run_local(seeded, algorithm,
-                                     local_options(context),
-                                     context.workspace));
+         return from_local(
+             run_local(seeded, algorithm, local_options(context)));
        }});
   table.add(
       {"cole-vishkin", "coloring:3",
@@ -466,9 +455,8 @@ AlgorithmRegistry make_default_registry() {
          }
          const ColeVishkin algorithm(
              std::max<std::int64_t>(rooted.max_identity(), 2));
-         return from_local(run_local(rooted, algorithm,
-                                     local_options(context),
-                                     context.workspace));
+         return from_local(
+             run_local(rooted, algorithm, local_options(context)));
        }});
 
   // --- matching ------------------------------------------------------------

@@ -6,10 +6,10 @@
 // scored against (src/problems/registry.h), the knob values baked into it
 // (e.g. ruling-set beta, coloring slack lambda), the scenario families its
 // Table 1 row is stated over, and the factory that actually runs it. Every
-// factory must be deterministic in (instance, seed), run its engine with
-// the thread count the context prescribes (the engine is thread-count
-// invariant, so outputs never depend on it), and honor the lent workspace —
-// that is what makes campaign results bit-identical for any worker count.
+// factory must be deterministic in (instance, seed) and issue every engine
+// run under the context's ExecPolicy. Threads, kernel mode and the lent
+// workspace never change an output — that is what makes campaign results
+// bit-identical for any worker count.
 //
 // Note on layering: like src/runtime/campaign.*, this is the orchestration
 // layer of the library — its default table wires up core/algo/prune — so
@@ -37,20 +37,10 @@ struct CellOutcome {
   EngineStats stats;
 };
 
-/// Everything a factory run needs beyond the instance.
-struct AlgorithmRunContext {
+/// Everything a factory run needs beyond the instance: the seed, and the
+/// execution policy every engine run of the entry follows.
+struct AlgorithmRunContext : ExecPolicy {
   std::uint64_t seed = 1;
-  /// Lent engine workspace (campaigns lend a pool workspace); may be null.
-  EngineWorkspace* workspace = nullptr;
-  /// RunOptions::num_threads for the entry's engine runs (thread-count
-  /// invariant — affects latency only, never outputs).
-  int engine_threads = 1;
-  /// RunOptions::kernel_mode for the entry's engine runs (flat step kernels
-  /// vs the Process vtable path; bit-identical outputs either way).
-  KernelMode kernel_mode = KernelMode::kAuto;
-  /// RunOptions::network for the entry's engine runs (synchronous arena vs
-  /// the seeded event-queue transport with latency/fault injection).
-  NetworkOptions network;
 };
 
 struct AlgorithmSpec {

@@ -75,11 +75,6 @@ CellResult run_cell(const CampaignCell& cell,
                     const CampaignOptions& options) {
   CellResult result;
   result.cell = cell;
-  // Cells with an explicit network keep it; default-sync cells inherit the
-  // campaign-wide delivery layer. The effective network is written back so
-  // every artifact (CSV, JSON, shard manifests) reports what actually ran.
-  if (cell.network == NetworkOptions{})
-    result.cell.network = options.network;
   const auto start = std::chrono::steady_clock::now();
   try {
     Graph graph = scenarios.build(cell.scenario, cell.params, cell.seed);
@@ -91,12 +86,7 @@ CellResult run_cell(const CampaignCell& cell,
     context.seed = cell.seed;
     context.workspace = workspace;
     context.kernel_mode = options.kernel_mode;
-    context.network = result.cell.network;
-    // The large-cell policy: big instances get engine threads (the engine
-    // is thread-count invariant, so the outputs stay bit-identical).
-    if (options.engine_threads_for_large_cells > 1 &&
-        instance.num_nodes() >= options.large_cell_node_threshold)
-      context.engine_threads = options.engine_threads_for_large_cells;
+    context.network = cell.network;
     CellOutcome outcome =
         algorithms.run(cell.algorithm, instance, context);
     result.rounds = outcome.rounds;

@@ -7,11 +7,11 @@
 // the algorithm registry (src/runtime/algorithm_registry.h), and a seed —
 // executed concurrently at cell granularity on one ThreadPool, with a pool
 // of reusable EngineWorkspaces (one per pool thread, round-robin checkout)
-// so no cell allocates a fresh arena. Cell engines default to one thread;
-// the large-cell policy may raise the engine thread count, and because the
-// engine is thread-count invariant, per-cell outputs stay bit-identical
-// for any worker count, engine thread count, and cell-scheduling order
-// (tests/campaign_test.cpp, tests/algorithm_registry_test.cpp).
+// so no cell allocates a fresh arena. Cell engines run on one thread, and
+// because the engine is thread-count invariant, per-cell outputs stay
+// bit-identical for any worker count, engine thread count, and
+// cell-scheduling order (tests/campaign_test.cpp,
+// tests/algorithm_registry_test.cpp).
 //
 // Results carry per-cell summaries, centralized-checker verdicts
 // (src/problems/registry.h), and aggregate percentiles over rounds and
@@ -274,23 +274,11 @@ struct CampaignOptions {
   const ScenarioRegistry* scenarios = nullptr;
   /// Algorithm registry (default_algorithm_registry() when null).
   const AlgorithmRegistry* algorithms = nullptr;
-  /// Large-cell engine parallelism policy: cells whose instance has at
-  /// least `large_cell_node_threshold` nodes run their engine with
-  /// `engine_threads_for_large_cells` threads (the engine is thread-count
-  /// invariant, so outputs stay bit-identical — this cuts tail latency on
-  /// skewed grids without giving up determinism). 1 disables the policy.
-  int engine_threads_for_large_cells = 1;
-  NodeId large_cell_node_threshold = 100000;
-  /// Engine path for every cell (RunOptions::kernel_mode): flat step
+  /// Engine path for every cell (ExecPolicy::kernel_mode): flat step
   /// kernels where available (auto, the default), vtable always (off), or
   /// kernels required (on). Outputs are bit-identical across modes, so
   /// campaign artifacts stay canonical regardless.
   KernelMode kernel_mode = KernelMode::kAuto;
-  /// Delivery layer applied to every cell whose own CampaignCell::network
-  /// was left at the default (sync). A cell with an explicit non-default
-  /// network keeps it — grids built with GridOptions::networks bake the
-  /// network into each cell.
-  NetworkOptions network;
   /// Telemetry (PR 10): when non-null, every cell runs under a span on this
   /// recorder (with the ambient engine binding installed, so engine runs
   /// emit their per-round events into the same lanes). Never feeds the

@@ -28,7 +28,7 @@
 //     synchronizer mode recv() spans point into the history arena, which a
 //     send may grow (the vtable path pays a defensive copy instead).
 //
-// Selection is RunOptions::kernel_mode (off / auto / on): `auto` uses the
+// Selection is ExecPolicy::kernel_mode (off / auto / on): `auto` uses the
 // kernel whenever Algorithm::kernel() provides one and falls back to the
 // vtable path otherwise — composed pipelines thereby pick up kernels
 // stage-by-stage; `on` requires one and throws when the algorithm has no

@@ -1223,9 +1223,10 @@ class ArenaEngine {
 }  // namespace
 
 RunResult run_local(const Instance& instance, const Algorithm& algorithm,
-                    const RunOptions& options, EngineWorkspace* workspace) {
+                    const RunOptions& options) {
   std::optional<EngineWorkspace> local;
-  if (workspace == nullptr) workspace = &local.emplace();
+  EngineWorkspace* workspace =
+      options.workspace != nullptr ? options.workspace : &local.emplace();
   ArenaEngine engine(instance, algorithm, options, workspace->state());
   if (options.network.kind == NetworkKind::kDelayed)
     return engine.run_delayed(options.wake_rounds);
@@ -1249,8 +1250,8 @@ std::vector<RunResult> run_sequential(
     RunOptions stage_options = options;
     stage_options.wake_rounds = wake;
     stage_options.seed = seed++;
-    RunResult result =
-        run_local(current, *algorithm, stage_options, &workspace);
+    if (options.workspace == nullptr) stage_options.workspace = &workspace;
+    RunResult result = run_local(current, *algorithm, stage_options);
     // The next stage starts at each node in the global round right after
     // this one finished there, taking this stage's output as an extra input
     // word (Observation 2.1 composition).

@@ -47,7 +47,35 @@
 
 namespace unilocal {
 
-struct RunOptions {
+class EngineWorkspace;
+
+/// How every engine run executes: one value handed unchanged from the CLI or
+/// campaign cell down through registry entries, transformers, the `fastest`
+/// combinator and alternation drivers to run_local, so the runs nested at
+/// every depth share one setting. Threads, kernel mode and workspace never
+/// change an output; a network does only when it loses messages for good.
+struct ExecPolicy {
+  /// Worker threads stepping disjoint node ranges in the simultaneous mode
+  /// (values below 1 mean 1). The synchronizer and delayed modes always run
+  /// single-threaded.
+  int num_threads = 1;
+  /// Engine path: the flat step-kernel tier (src/runtime/kernel.h) when the
+  /// algorithm is lowered (kAuto, the default), the Process vtable path
+  /// always (kOff), or the kernel required (kOn — run_local throws when the
+  /// algorithm has no lowering).
+  KernelMode kernel_mode = KernelMode::kAuto;
+  /// Delivery layer (src/runtime/network.h): the round-exact synchronous
+  /// arena (default), or the seeded event-queue transport with per-edge
+  /// latency and fault injection. Outputs are a pure function of (instance,
+  /// seed, network), so they stay invariant under num_threads and sharding.
+  NetworkOptions network;
+  /// Lent engine storage: every run joins this arena instead of allocating
+  /// its own (nullptr = a run-local one). Not safe to share between
+  /// concurrent runs.
+  EngineWorkspace* workspace = nullptr;
+};
+
+struct RunOptions : ExecPolicy {
   /// Maximum local rounds per node; reaching it forces termination with
   /// default_output.
   std::int64_t max_rounds = std::numeric_limits<std::int64_t>::max() / 4;
@@ -56,22 +84,7 @@ struct RunOptions {
   std::uint64_t seed = 1;
   /// Optional wake-up round per node (empty = all wake at 0). Non-empty
   /// wake rounds enable the alpha-synchronizer emulation.
-  std::vector<std::int64_t> wake_rounds;
-  /// Worker threads stepping disjoint node ranges in the simultaneous mode
-  /// (1 = fully inline). Outputs are independent of this value; the
-  /// synchronizer mode always runs single-threaded.
-  int num_threads = 1;
-  /// Engine path: the flat step-kernel tier (src/runtime/kernel.h) when the
-  /// algorithm is lowered (kAuto, the default), the Process vtable path
-  /// always (kOff), or the kernel required (kOn — run_local throws when the
-  /// algorithm has no lowering). Outputs are bit-identical either way.
-  KernelMode kernel_mode = KernelMode::kAuto;
-  /// Delivery layer (src/runtime/network.h): the round-exact synchronous
-  /// arena (default), or the seeded event-queue transport with per-edge
-  /// latency and fault injection. The delayed mode runs the event loop
-  /// single-threaded; outputs are a pure function of (instance, seed,
-  /// network), so they stay invariant under num_threads and sharding.
-  NetworkOptions network;
+  std::vector<std::int64_t> wake_rounds{};
 };
 
 /// Engine-side counters of one run (RunResult::stats).
@@ -276,18 +289,16 @@ class EngineWorkspace {
   std::unique_ptr<EngineWorkspaceState> state_;
 };
 
-/// Runs one algorithm on an instance. Passing a workspace reuses its
-/// buffers; nullptr uses a run-local workspace.
+/// Runs one algorithm on an instance, in options.workspace when one is lent.
 RunResult run_local(const Instance& instance, const Algorithm& algorithm,
-                    const RunOptions& options = {},
-                    EngineWorkspace* workspace = nullptr);
+                    const RunOptions& options = {});
 
 /// Runs algorithms in sequence (paper's A1;A2): each node starts algorithm
 /// k+1 in the global round after it finished algorithm k (alpha-synchronizer
 /// semantics), with each algorithm's input being the previous algorithm's
 /// per-node output appended to the instance input. Returns one RunResult per
 /// stage; the last stage's outputs are the composition's outputs. All stages
-/// share one workspace (and therefore one arena).
+/// share one workspace (the lent one, or one for the whole sequence).
 std::vector<RunResult> run_sequential(const Instance& instance,
                                       const std::vector<const Algorithm*>& algorithms,
                                       const RunOptions& options = {});

@@ -1,8 +1,9 @@
 // The algorithm registry: the full pipeline zoo is registered with valid
 // problem keys and scenario hints, every entry solves + validates on its
 // own Table 1 families, per-cell outputs stay bit-identical across campaign
-// worker counts and the large-cell engine-thread policy, and the
-// registration / selection error paths fire.
+// worker counts and engine thread counts, every execution-policy field
+// reaches every engine run, and the registration / selection error paths
+// fire.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -207,28 +208,77 @@ TEST(AlgorithmRegistry, ConformanceAcrossWorkerCounts) {
   }
 }
 
-TEST(Campaign, LargeCellEngineThreadsPreserveOutputs) {
+/// The instance run_campaign builds for `cell`.
+Instance cell_instance(const CampaignCell& cell) {
+  return make_instance(
+      default_scenarios().build(cell.scenario, cell.params, cell.seed),
+      cell.identities, cell.seed);
+}
+
+TEST(AlgorithmRegistry, EngineThreadsPreserveOutputs) {
   ScenarioParams params;
   params.n = 64;
   const auto cells =
       make_grid({"gnp", "layered-forest"}, params,
                 {"mis-uniform", "arb-mis", "coloring-theorem5", "luby-mis"},
                 1, 3);
-  CampaignOptions options;
-  options.keep_outputs = true;
-  const CampaignResult plain = run_campaign(cells, options);
-  // Threshold 1 forces every cell through the multi-threaded engine path;
-  // thread-count invariance keeps the outputs bit-identical.
-  options.engine_threads_for_large_cells = 4;
-  options.large_cell_node_threshold = 1;
-  options.workers = 2;
-  const CampaignResult threaded = run_campaign(cells, options);
-  ASSERT_EQ(threaded.cells.size(), plain.cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_TRUE(threaded.cells[i].error.empty()) << threaded.cells[i].error;
-    EXPECT_EQ(threaded.cells[i].outputs, plain.cells[i].outputs)
-        << cells[i].algorithm << '/' << cells[i].scenario;
-    EXPECT_EQ(threaded.cells[i].output_hash, plain.cells[i].output_hash);
+  const AlgorithmRegistry& registry = default_algorithm_registry();
+  for (const CampaignCell& cell : cells) {
+    const Instance instance = cell_instance(cell);
+    AlgorithmRunContext context;
+    context.seed = cell.seed;
+    const CellOutcome plain = registry.run(cell.algorithm, instance, context);
+    // Every engine run of the pipeline steps on 4 threads; thread-count
+    // invariance keeps the outputs bit-identical.
+    context.num_threads = 4;
+    const CellOutcome threaded =
+        registry.run(cell.algorithm, instance, context);
+    EXPECT_EQ(threaded.stats.threads, 4) << cell.algorithm;
+    EXPECT_EQ(threaded.outputs, plain.outputs)
+        << cell.algorithm << '/' << cell.scenario;
+    EXPECT_EQ(threaded.rounds, plain.rounds) << cell.algorithm;
+    EXPECT_EQ(threaded.solved, plain.solved) << cell.algorithm;
+    EXPECT_EQ(threaded.stats.total_messages, plain.stats.total_messages)
+        << cell.algorithm;
+    EXPECT_EQ(threaded.stats.total_steps, plain.stats.total_steps)
+        << cell.algorithm;
+  }
+}
+
+// Every field of the ExecPolicy reaches every engine run of every entry,
+// however deeply the pipeline nests them (transformer iterations, the
+// `fastest` combinator's executables, Theorem 5's layers). Outputs are
+// invariant under all of them, so only the engine counters can tell.
+TEST(AlgorithmRegistry, ExecPolicyReachesEveryEngineRun) {
+  const AlgorithmRegistry& registry = default_algorithm_registry();
+  for (const std::string& name : registry.names()) {
+    CampaignCell cell;
+    cell.scenario = registry.spec(name).table1_scenarios.front();
+    cell.params.n = 48;
+    cell.algorithm = name;
+    const Instance instance = cell_instance(cell);
+    const auto run = [&](const AlgorithmRunContext& context) {
+      const CellOutcome outcome = registry.run(name, instance, context);
+      EXPECT_TRUE(outcome.solved) << name;
+      EXPECT_GT(outcome.stats.total_steps, 0) << name;
+      return outcome.stats;
+    };
+
+    AlgorithmRunContext context;
+    context.kernel_mode = KernelMode::kOff;
+    EXPECT_EQ(run(context).kernel_steps, 0) << name;
+    context.kernel_mode = KernelMode::kOn;
+    EXPECT_EQ(run(context).vtable_steps, 0) << name;
+
+    context = {};
+    context.num_threads = 3;
+    EXPECT_EQ(run(context).threads, 3) << name;
+
+    context = {};
+    context.network = parse_network_spec("delay:uniform");
+    const EngineStats delayed = run(context);
+    if (delayed.total_messages > 0)
+      EXPECT_GT(delayed.max_delivery_skew, 0) << name;
   }
 }
 

@@ -166,18 +166,19 @@ TEST(EngineEquivalence, WorkspaceReuseDoesNotLeakState) {
   for (const auto& named : standard_instances(/*seed=*/29)) {
     RunOptions options;
     options.seed = 41;
+    RunOptions lent = options;
+    lent.workspace = &workspace;
     const RunResult fresh = run_local(named.instance, luby, options);
-    const RunResult reused = run_local(named.instance, luby, options,
-                                       &workspace);
+    const RunResult reused = run_local(named.instance, luby, lent);
     expect_same(fresh, reused, "reuse/luby/" + named.name);
 
     options.wake_rounds.assign(
         static_cast<std::size_t>(named.instance.num_nodes()), 0);
     for (auto& w : options.wake_rounds)
       w = static_cast<std::int64_t>(wake_rng.next_below(4));
+    lent.wake_rounds = options.wake_rounds;
     const RunResult fresh_sync = run_local(named.instance, greedy, options);
-    const RunResult reused_sync = run_local(named.instance, greedy, options,
-                                            &workspace);
+    const RunResult reused_sync = run_local(named.instance, greedy, lent);
     expect_same(fresh_sync, reused_sync, "reuse/greedy-sync/" + named.name);
   }
 }

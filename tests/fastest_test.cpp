@@ -48,7 +48,7 @@ TEST(Theorem4, BeatsSlowGreedyOnAdversarialPath) {
   Instance instance =
       make_instance(path_graph(400), IdentityScheme::kSequential);
   // Greedy alone:
-  const auto greedy_outcome = combinator.greedy->run(instance, 1 << 20, 1);
+  const auto greedy_outcome = combinator.greedy->run(instance, 1 << 20, 1, {});
   EXPECT_GE(greedy_outcome.rounds, 400);
   const UniformRunResult combined =
       run_fastest(instance, combinator.all(), pruning);
@@ -63,8 +63,8 @@ TEST(Theorem4, NearMinOfBothOnBothExtremes) {
   // Theta(Delta^2) — the combinator should land near greedy.
   Instance clique =
       make_instance(complete_graph(40), IdentityScheme::kRandomPermuted, 2);
-  const auto greedy_clique = combinator.greedy->run(clique, 1 << 20, 1);
-  const auto colored_clique = combinator.colored->run(clique, 1 << 20, 1);
+  const auto greedy_clique = combinator.greedy->run(clique, 1 << 20, 1, {});
+  const auto colored_clique = combinator.colored->run(clique, 1 << 20, 1, {});
   const UniformRunResult combined = run_fastest(clique, combinator.all(), pruning);
   ASSERT_TRUE(combined.solved);
   const std::int64_t best =
@@ -96,18 +96,21 @@ TEST(Theorem4, TransformedExecutableRunsInLentArena) {
   Instance big = make_instance(gnp(3000, 0.003, rng),
                                IdentityScheme::kRandomPermuted, 3);
   RunOptions grow_options;
+  grow_options.workspace = &workspace;
   const GreedyMis greedy;
-  const RunResult grown = run_local(big, greedy, grow_options, &workspace);
+  const RunResult grown = run_local(big, greedy, grow_options);
   ASSERT_GT(grown.stats.arena_bytes, 0);
 
   Combinator combinator;
   Instance small = make_instance(path_graph(24), IdentityScheme::kSequential);
-  const auto lent = combinator.colored->run(small, 1 << 12, 1, &workspace);
+  ExecPolicy lent_policy;
+  lent_policy.workspace = &workspace;
+  const auto lent = combinator.colored->run(small, 1 << 12, 1, lent_policy);
   EXPECT_GE(lent.stats.arena_bytes, grown.stats.arena_bytes);
 
   // Without a lent workspace the nested driver's own arena is sized to the
   // small instance — the discriminating baseline.
-  const auto fresh = combinator.colored->run(small, 1 << 12, 1);
+  const auto fresh = combinator.colored->run(small, 1 << 12, 1, {});
   EXPECT_LT(fresh.stats.arena_bytes, grown.stats.arena_bytes);
 }
 
@@ -117,7 +120,9 @@ TEST(Theorem1, TransformerRunsInLentWorkspace) {
   Instance big = make_instance(gnp(3000, 0.003, rng),
                                IdentityScheme::kRandomPermuted, 4);
   const GreedyMis greedy;
-  const RunResult grown = run_local(big, greedy, {}, &workspace);
+  RunOptions grow_options;
+  grow_options.workspace = &workspace;
+  const RunResult grown = run_local(big, greedy, grow_options);
   ASSERT_GT(grown.stats.arena_bytes, 0);
 
   Instance small = make_instance(path_graph(24), IdentityScheme::kSequential);
@@ -142,9 +147,7 @@ class BudgetRecorder final : public UniformExecutable {
   std::string name() const override { return "budget-recorder"; }
   AlternatingDriver::CustomOutcome run(
       const Instance& instance, std::int64_t budget, std::uint64_t /*seed*/,
-      EngineWorkspace* /*workspace*/, int /*engine_threads*/,
-      KernelMode /*kernel_mode*/,
-      const NetworkOptions& /*network*/) const override {
+      const ExecPolicy& /*policy*/) const override {
     budgets_->push_back(budget);
     return {std::vector<std::int64_t>(
                 static_cast<std::size_t>(instance.num_nodes()), 0),

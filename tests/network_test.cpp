@@ -179,10 +179,10 @@ TEST(DelayedNetwork, DeterministicAcrossThreadCountsAndRepetition) {
     options.num_threads = 1;
     const RunResult want = run_local(named.instance, luby, options);
     EngineWorkspace workspace;
+    options.workspace = &workspace;
     for (const int threads : {1, 2, 8}) {
       options.num_threads = threads;
-      const RunResult got =
-          run_local(named.instance, luby, options, &workspace);
+      const RunResult got = run_local(named.instance, luby, options);
       expect_same_result(want, got,
                          named.name + "/threads=" + std::to_string(threads));
     }
@@ -393,12 +393,12 @@ TEST(DelayedCampaign, VerdictsHoldAndNetworkSeparatesGridIdentity) {
   other_knob.back().network.drop = 0.051;
   EXPECT_NE(campaign_grid_hash(cells), campaign_grid_hash(other_knob));
 
-  // CampaignOptions::network applies the layer campaign-wide to
-  // default-sync cells, and the effective network lands in the artifacts.
-  CampaignOptions options;
-  options.network = delayed(DelayPreset::kWeighted);
-  const CampaignResult overridden = run_campaign(sync_cells, options);
-  EXPECT_EQ(overridden.valid, static_cast<int>(sync_cells.size()));
+  // The cell's network is what runs, and it lands in the artifacts.
+  std::vector<CampaignCell> weighted_cells = sync_cells;
+  for (CampaignCell& cell : weighted_cells)
+    cell.network = delayed(DelayPreset::kWeighted);
+  const CampaignResult overridden = run_campaign(weighted_cells, {});
+  EXPECT_EQ(overridden.valid, static_cast<int>(weighted_cells.size()));
   std::ostringstream csv;
   write_campaign_csv(csv, overridden);
   EXPECT_NE(csv.str().find("delay:weighted"), std::string::npos);
