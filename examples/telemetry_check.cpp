@@ -27,6 +27,7 @@
 //
 // Exit 0 when everything holds; every violation is printed and exits 1.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "src/runtime/telemetry.h"
+#include "src/util/flags.h"
 #include "src/util/json.h"
 
 using namespace unilocal;
@@ -70,8 +72,8 @@ void require_args(const telemetry::TraceEvent& event,
            " missing arg '" + key + "'");
 }
 
-int check_trace(const std::string& path, int expect_cells,
-                int expect_attempts) {
+int check_trace(const std::string& path, std::int64_t expect_cells,
+                std::int64_t expect_attempts) {
   std::vector<telemetry::TraceEvent> events;
   try {
     const json::Value document = json::Value::parse(read_text_file(path));
@@ -256,21 +258,18 @@ int usage() {
 int main(int argc, char** argv) {
   std::string trace_path;
   std::string metrics_path;
-  int expect_cells = -1;
-  int expect_attempts = -1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
-    if (arg.rfind("--trace=", 0) == 0)
-      trace_path = value();
-    else if (arg.rfind("--metrics=", 0) == 0)
-      metrics_path = value();
-    else if (arg.rfind("--expect-cells=", 0) == 0)
-      expect_cells = std::stoi(value());
-    else if (arg.rfind("--expect-attempts=", 0) == 0)
-      expect_attempts = std::stoi(value());
-    else
-      return usage();
+  std::int64_t expect_cells = -1;
+  std::int64_t expect_attempts = -1;
+  FlagTable table;
+  table.add({"--trace", FlagKind::kString, &trace_path});
+  table.add({"--metrics", FlagKind::kString, &metrics_path});
+  table.add({"--expect-cells", FlagKind::kNonNegative, &expect_cells});
+  table.add({"--expect-attempts", FlagKind::kNonNegative, &expect_attempts});
+  try {
+    if (!table.parse({argv + 1, argv + argc}).empty()) return usage();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "telemetry_check: %s\n", e.what());
+    return usage();
   }
   if (trace_path.empty() && metrics_path.empty()) return usage();
   if (!trace_path.empty())

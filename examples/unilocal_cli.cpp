@@ -3,7 +3,9 @@
 //
 //   unilocal_cli <problem> [file] [--stats] [--kernel=off|auto|on]
 //
-//   <problem>: mis | matching | coloring | rulingset2
+//   <problem>: mis | matching | coloring | rulingset2 — the registry
+//              entries mis-uniform | matching-uniform | coloring-theorem5 |
+//              rulingset2-lv, run with seed 1 and scored by their checker.
 //   [file]:    edge list ("n m" header then "u v" per line);
 //              reads stdin when omitted.
 //   --stats:   also print per-run engine statistics (arena bytes, peak
@@ -79,44 +81,37 @@
 //   shards are rejected naming all offenders) and prints the merged
 //   campaign exactly like sweep does.
 //
+// Every verb declares its flags as rows of a FlagTable (src/util/flags.h);
+// a malformed value fails naming the flag, an unknown flag prints usage.
+//
 // Prints one line per node: "<identity> <output>" (plus a summary on
 // stderr). Every algorithm here is the uniform product of the paper's
 // transformers — the tool needs no -n/-delta flags because no node needs
 // them; that is the point of the paper.
 #include <unistd.h>
 
-#include <charconv>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "src/algo/edge_color_mm.h"
-#include "src/algo/mis_from_coloring.h"
-#include "src/algo/ruling_set_mc.h"
-#include "src/core/coloring_transform.h"
-#include "src/core/mc_to_lv.h"
-#include "src/core/transformer.h"
 #include "src/graph/io.h"
-#include "src/problems/coloring.h"
-#include "src/problems/matching.h"
-#include "src/problems/mis.h"
-#include "src/problems/ruling_set.h"
-#include "src/prune/matching_prune.h"
-#include "src/prune/ruling_set_prune.h"
 #include "src/runtime/campaign.h"
 #include "src/runtime/kernel.h"
 #include "src/runtime/run_log.h"
 #include "src/runtime/shard.h"
 #include "src/runtime/supervisor.h"
 #include "src/runtime/telemetry.h"
+#include "src/util/flags.h"
 
 using namespace unilocal;
 
@@ -194,97 +189,60 @@ std::vector<std::string> split_csv(const std::string& text) {
   return result;
 }
 
-/// A count flag (--workers, --seeds, --n, --shards): the whole value must
-/// be an integer in [1, INT_MAX]. Throws std::runtime_error naming the flag
-/// otherwise.
-int parse_count(const char* flag, const std::string& text) {
-  int value = 0;
-  const char* end = text.data() + text.size();
-  const auto [rest, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc() || rest != end || value < 1)
-    throw std::runtime_error(std::string(flag) +
-                             ": expected a positive integer, got '" + text +
-                             "'");
-  return value;
-}
+// --- flag groups ---------------------------------------------------------------
+//
+// Each group owns the values of its flags and lists them as FlagTable rows
+// (src/util/flags.h); a verb adds the groups, or the rows of a group, that
+// it accepts.
 
-/// --kernel=off|auto|on, the engine path flag every subcommand shares.
-/// Returns false for any other argument; throws std::runtime_error on an
-/// unknown mode.
-bool consume_kernel_flag(const std::string& arg, KernelMode& mode) {
-  if (arg.rfind("--kernel=", 0) != 0) return false;
-  mode = parse_kernel_mode(arg.substr(arg.find('=') + 1));
-  return true;
-}
-
-/// The delivery-layer flag group every subcommand shares: --network=SPEC[,..]
-/// plus the fault knobs. Flags may arrive in any order, so the knobs are
-/// buffered and applied to the delayed specs in resolve(). consume() and
-/// resolve() throw std::runtime_error naming the offending flag on
-/// malformed or inconsistent values.
+/// The delivery layer: --network=SPEC[,..] plus the fault knobs, which apply
+/// to the delayed specs only.
 struct NetworkFlags {
-  std::vector<std::string> specs;  // raw --network= values, in order
+  std::string specs;  // the raw --network= value
   NetworkOptions knobs;
-  bool drop_set = false, dup_set = false, crash_set = false;
-  bool late_set = false, max_delay_set = false, late_by_set = false;
 
-  bool consume(const std::string& arg) {
-    const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
-    if (arg.rfind("--network=", 0) == 0) {
-      for (const std::string& spec : split_csv(value()))
-        specs.push_back(spec);
-      if (specs.empty())
-        throw std::runtime_error(
-            "--network: expected sync or delay:<preset>, got ''");
-    } else if (arg.rfind("--drop=", 0) == 0) {
-      knobs.drop = parse_unit_interval("--drop", value());
-      drop_set = true;
-    } else if (arg.rfind("--dup=", 0) == 0) {
-      knobs.duplicate = parse_unit_interval("--dup", value());
-      dup_set = true;
-    } else if (arg.rfind("--crash=", 0) == 0) {
-      knobs.crash = parse_unit_interval("--crash", value());
-      crash_set = true;
-    } else if (arg.rfind("--late=", 0) == 0) {
-      knobs.late = parse_unit_interval("--late", value());
-      late_set = true;
-    } else if (arg.rfind("--max-delay=", 0) == 0) {
-      knobs.max_delay = parse_positive_ticks("--max-delay", value());
-      max_delay_set = true;
-    } else if (arg.rfind("--late-by=", 0) == 0) {
-      knobs.late_by = parse_positive_ticks("--late-by", value());
-      late_by_set = true;
-    } else {
-      return false;
-    }
-    return true;
-  }
-
-  bool any_knob() const {
-    return drop_set || dup_set || crash_set || late_set || max_delay_set ||
-           late_by_set;
+  std::vector<Flag> rows() {
+    return {{"--network", FlagKind::kString, &specs},
+            {"--drop", FlagKind::kProbability, &knobs.drop},
+            {"--dup", FlagKind::kProbability, &knobs.duplicate},
+            {"--crash", FlagKind::kProbability, &knobs.crash},
+            {"--late", FlagKind::kProbability, &knobs.late},
+            {"--max-delay", FlagKind::kTicks, &knobs.max_delay},
+            {"--late-by", FlagKind::kTicks, &knobs.late_by}};
   }
 
   /// One NetworkOptions per --network= spec (empty = all-sync default),
-  /// fault knobs folded into the delayed entries.
-  std::vector<NetworkOptions> resolve() const {
+  /// fault knobs folded into the delayed entries. Throws
+  /// std::runtime_error naming the flag on malformed or inconsistent
+  /// values.
+  std::vector<NetworkOptions> resolve(const FlagTable& table) {
+    const std::vector<std::string> list = split_csv(specs);
+    if (table.given("--network") && list.empty())
+      throw std::runtime_error(
+          "--network: expected sync or delay:<preset>, got ''");
     std::vector<NetworkOptions> result;
     bool any_delayed = false;
-    for (const std::string& spec : specs) {
+    for (const std::string& spec : list) {
       NetworkOptions network = parse_network_spec(spec);
       if (network.kind == NetworkKind::kDelayed) {
+        // parse_network_spec leaves every knob at its default, so the
+        // knob values (default where not given) carry over whole.
         any_delayed = true;
-        if (drop_set) network.drop = knobs.drop;
-        if (dup_set) network.duplicate = knobs.duplicate;
-        if (crash_set) network.crash = knobs.crash;
-        if (late_set) network.late = knobs.late;
-        if (max_delay_set) network.max_delay = knobs.max_delay;
-        if (late_by_set) network.late_by = knobs.late_by;
+        network.drop = knobs.drop;
+        network.duplicate = knobs.duplicate;
+        network.crash = knobs.crash;
+        network.late = knobs.late;
+        network.max_delay = knobs.max_delay;
+        network.late_by = knobs.late_by;
         validate_network_options(network);
       }
       result.push_back(network);
     }
-    if (any_knob() && !any_delayed)
+    const std::vector<Flag> flags = rows();  // --network, then the knobs
+    const bool any_knob =
+        std::any_of(flags.begin() + 1, flags.end(),
+                    [&table](const Flag& row) { return table.given(row.name); });
+    if (any_knob && !any_delayed)
       throw std::runtime_error(
           "--drop/--dup/--crash/--late/--max-delay/--late-by require "
           "--network=delay:<preset> (the synchronous network has no fault "
@@ -293,99 +251,158 @@ struct NetworkFlags {
   }
 
   /// The single-run form: at most one spec.
-  NetworkOptions resolve_single() const {
-    if (specs.size() > 1)
+  NetworkOptions resolve_single(const FlagTable& table) {
+    const std::vector<NetworkOptions> resolved = resolve(table);
+    if (resolved.size() > 1)
       throw std::runtime_error(
           "--network: expected one value in single-problem mode, got " +
-          std::to_string(specs.size()));
-    const std::vector<NetworkOptions> resolved = resolve();
+          std::to_string(resolved.size()));
     return resolved.empty() ? NetworkOptions{} : resolved.front();
   }
 };
 
-/// The supervision flag group sweep/table1 share (all require --shards=K):
-/// retry budget, timeout, checkpoint journal, partial-merge opt-in, and
-/// the hidden chaos knobs. consume() throws std::runtime_error naming the
-/// offending flag on malformed values.
+/// The campaign grid: --table1 or --scenarios/--algorithms (alias --algos,
+/// registry keys, '*'/'?' globs and 'all'), the scenario knobs, the seeds
+/// per combination, --smoke, and the delivery layer.
+struct GridFlags {
+  bool table1 = false;
+  bool smoke = false;
+  std::string scenarios;
+  std::string algorithms;
+  ScenarioParams params;
+  int seeds = 2;
+  NetworkFlags network;
+
+  std::vector<Flag> rows() {
+    return {{"--table1", FlagKind::kSwitch, &table1},
+            {"--smoke", FlagKind::kSwitch, &smoke},
+            {"--scenarios", FlagKind::kString, &scenarios},
+            {"--algorithms", FlagKind::kString, &algorithms, "--algos"},
+            {"--n", FlagKind::kCount, &params.n},
+            {"--a", FlagKind::kDouble, &params.a},
+            {"--b", FlagKind::kDouble, &params.b},
+            {"--seeds", FlagKind::kCount, &seeds}};
+  }
+
+  /// The grid's cells. Applies --smoke to params and seeds first, so they
+  /// read as the values the grid used afterwards.
+  std::vector<CampaignCell> cells(const FlagTable& table) {
+    // --smoke shrinks only the knobs the user did not set explicitly, so
+    // flag order never changes the grid (and hence the --log grid hash).
+    if (smoke) {
+      if (!table.given("--n")) params.n = 64;
+      if (!table.given("--seeds")) seeds = 1;
+    }
+    GridOptions options;
+    options.networks = network.resolve(table);
+    if (table1) return make_table1_grid(params, seeds, options);
+    // Globs and 'all' expand against the registry; make_grid then
+    // validates every key up front (one error listing all unknown keys).
+    return make_grid(split_csv(scenarios), params,
+                     default_algorithm_registry().resolve(
+                         split_csv(algorithms)),
+                     seeds, options);
+  }
+};
+
+/// How the work runs: cell workers, shard processes and their planning
+/// policy, and the engine path (src/runtime/kernel.h).
+struct RunFlags {
+  int workers = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  int shards = 0;
+  std::string policy = shard_policy_name(ShardPolicy::kCostBalanced);
+  std::string kernel = kernel_mode_name(KernelMode::kAuto);
+
+  std::vector<Flag> rows() {
+    return {{"--workers", FlagKind::kCount, &workers},
+            {"--shards", FlagKind::kCount, &shards},
+            {"--policy", FlagKind::kString, &policy},
+            {"--kernel", FlagKind::kString, &kernel}};
+  }
+
+  ShardPolicy shard_policy() const { return parse_shard_policy(policy); }
+  KernelMode kernel_mode() const { return parse_kernel_mode(kernel); }
+};
+
+/// How a campaign is printed: CSV or JSON, canonical JSON, and the run log.
+struct ReportFlags {
+  std::string format = "csv";
+  bool canonical = false;
+  std::string log_path;
+
+  std::vector<Flag> rows() {
+    return {{"--format", FlagKind::kString, &format},
+            {"--canonical", FlagKind::kSwitch, &canonical},
+            {"--log", FlagKind::kString, &log_path}};
+  }
+
+  bool valid() const { return format == "csv" || format == "json"; }
+  bool json() const { return canonical || format == "json"; }
+};
+
+/// The shard supervisor's knobs (all require --shards=K): retry budget,
+/// timeout, checkpoint journal, partial-merge opt-in, straggler
+/// speculation, and the hidden chaos harness.
 struct SupervisorFlags {
   int max_attempts = 3;
   double base_timeout_seconds = 300.0;
   bool allow_partial = false;
-  bool speculate = true;
+  bool no_speculate = false;
   std::string journal_path;
-  ChaosOptions chaos;
-  bool any_set = false;
+  std::string inject;
+  std::uint64_t inject_seed = ChaosOptions{}.seed;
 
-  bool consume(const std::string& arg) {
-    const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
-    if (arg.rfind("--max-attempts=", 0) == 0) {
-      max_attempts = std::stoi(value());
-      if (max_attempts < 1)
-        throw std::runtime_error("--max-attempts: must be >= 1, got " +
-                                 value());
-    } else if (arg.rfind("--shard-timeout=", 0) == 0) {
-      base_timeout_seconds = std::stod(value());
-      if (!(base_timeout_seconds > 0.0))
-        throw std::runtime_error("--shard-timeout: must be > 0, got " +
-                                 value());
-    } else if (arg == "--allow-partial") {
-      allow_partial = true;
-    } else if (arg == "--no-speculate") {
-      speculate = false;
-    } else if (arg.rfind("--journal=", 0) == 0) {
-      journal_path = value();
-    } else if (arg.rfind("--inject=", 0) == 0) {
-      const std::uint64_t seed = chaos.seed;  // flags arrive in any order
-      chaos = parse_chaos_spec(value());
-      chaos.seed = seed;
-    } else if (arg.rfind("--inject-seed=", 0) == 0) {
-      chaos.seed = std::stoull(value());
-    } else {
-      return false;
-    }
-    any_set = true;
-    return true;
+  std::vector<Flag> rows() {
+    return {{"--max-attempts", FlagKind::kCount, &max_attempts},
+            {"--shard-timeout", FlagKind::kDouble, &base_timeout_seconds},
+            {"--allow-partial", FlagKind::kSwitch, &allow_partial},
+            {"--no-speculate", FlagKind::kSwitch, &no_speculate},
+            {"--journal", FlagKind::kString, &journal_path},
+            {"--inject", FlagKind::kString, &inject},
+            {"--inject-seed", FlagKind::kU64, &inject_seed}};
   }
 
-  void require_shards(int shards) const {
-    if (any_set && shards <= 0)
-      throw std::runtime_error(
-          "--max-attempts/--shard-timeout/--journal/--allow-partial/"
-          "--no-speculate/--inject require --shards=K (they configure the "
-          "shard supervisor)");
+  ChaosOptions chaos() const {
+    ChaosOptions options = parse_chaos_spec(inject);
+    options.seed = inject_seed;
+    return options;
+  }
+
+  /// Throws std::runtime_error naming the flag when a supervisor flag is
+  /// out of range or given without --shards.
+  void check(const FlagTable& table, int shards) {
+    if (!(base_timeout_seconds > 0.0))
+      throw std::runtime_error("--shard-timeout: must be > 0");
+    for (const Flag& row : rows())
+      if (table.given(row.name) && shards <= 0)
+        throw std::runtime_error(
+            "--max-attempts/--shard-timeout/--journal/--allow-partial/"
+            "--no-speculate/--inject require --shards=K (they configure the "
+            "shard supervisor)");
   }
 };
 
-/// The observability flag group every subcommand shares
-/// (src/runtime/telemetry.h): --trace=FILE writes a Chrome trace-event
-/// JSON (Perfetto-loadable), --metrics=FILE a merged metrics snapshot,
-/// --trace-rounds=N caps per-round engine events per run (head sampling).
-/// None of these touch stdout: canonical output is byte-identical with
-/// and without them.
+/// Observability (src/runtime/telemetry.h): --trace=FILE writes a Chrome
+/// trace-event JSON (Perfetto-loadable), --metrics=FILE a merged metrics
+/// snapshot, --trace-rounds=N caps per-round engine events per run (head
+/// sampling). None of these touch stdout: canonical output is
+/// byte-identical with and without them.
 struct TelemetryFlags {
   std::string trace_path;
   std::string metrics_path;
   std::int64_t trace_rounds = telemetry::kDefaultTraceRounds;
 
-  bool consume(const std::string& arg) {
-    const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
-    if (arg.rfind("--trace=", 0) == 0) {
-      trace_path = value();
-      if (trace_path.empty())
-        throw std::runtime_error("--trace: expected a file path");
-    } else if (arg.rfind("--metrics=", 0) == 0) {
-      metrics_path = value();
-      if (metrics_path.empty())
-        throw std::runtime_error("--metrics: expected a file path");
-    } else if (arg.rfind("--trace-rounds=", 0) == 0) {
-      trace_rounds = std::stoll(value());
-      if (trace_rounds < 0)
-        throw std::runtime_error("--trace-rounds: must be >= 0, got " +
-                                 value());
-    } else {
-      return false;
-    }
-    return true;
+  std::vector<Flag> rows() {
+    return {{"--trace", FlagKind::kString, &trace_path},
+            {"--metrics", FlagKind::kString, &metrics_path},
+            {"--trace-rounds", FlagKind::kNonNegative, &trace_rounds}};
+  }
+
+  void check(const FlagTable& table) const {
+    if (table.given("--trace") && trace_path.empty())
+      throw std::runtime_error("--trace: expected a file path");
+    if (table.given("--metrics") && metrics_path.empty())
+      throw std::runtime_error("--metrics: expected a file path");
   }
 };
 
@@ -421,10 +438,10 @@ void print_percentiles(const char* what, const CampaignPercentiles& p) {
 /// non-valid cell, optionally appends to / diffs against the run log.
 /// Returns 0 iff every cell ran, solved, and passed its checker.
 int report_campaign(const char* what, const CampaignResult& result,
-                    bool json, bool canonical, const std::string& log_path) {
-  if (json || canonical) {
+                    const ReportFlags& report) {
+  if (report.json()) {
     CampaignJsonOptions json_options;
-    json_options.canonical = canonical;
+    json_options.canonical = report.canonical;
     write_campaign_json(std::cout, result, json_options);
     std::cout << '\n';
   } else {
@@ -458,7 +475,7 @@ int report_campaign(const char* what, const CampaignResult& result,
     if (sup.retries > 0 || sup.stragglers_respawned > 0 ||
         sup.shards_from_journal > 0 || sup.shards_failed > 0) {
       std::ostringstream table;
-      write_supervision_csv(table, sup);
+      write_supervised_shards_csv(table, sup);
       std::fprintf(stderr, "%s", table.str().c_str());
     }
   }
@@ -474,8 +491,9 @@ int report_campaign(const char* what, const CampaignResult& result,
                    cell.cell.scenario.c_str(), cell.cell.algorithm.c_str(),
                    static_cast<unsigned long long>(cell.cell.seed));
   }
-  if (!log_path.empty()) {
-    const RunLogComparison comparison = compare_run_log(log_path, result);
+  if (!report.log_path.empty()) {
+    const RunLogComparison comparison =
+        compare_run_log(report.log_path, result);
     if (comparison.found) {
       std::fprintf(stderr,
                    "%s: vs %s (same grid): rounds.p50 x%.2f "
@@ -487,9 +505,9 @@ int report_campaign(const char* what, const CampaignResult& result,
                    comparison.elapsed_ratio);
     } else {
       std::fprintf(stderr, "%s: no recorded sweep of this grid in %s\n",
-                   what, log_path.c_str());
+                   what, report.log_path.c_str());
     }
-    append_run_log(log_path, result);
+    append_run_log(report.log_path, result);
   }
   // Success means every cell ran, solved, and passed its checker.
   const bool all_good =
@@ -524,8 +542,7 @@ struct ScratchDir {
 /// --allow-partial degrades exhausted shards to an explicit report.
 int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
                 int shards, ShardPolicy policy, int workers_per_shard,
-                KernelMode kernel_mode, bool json_output, bool canonical,
-                const std::string& log_path,
+                KernelMode kernel_mode, const ReportFlags& report_flags,
                 const SupervisorFlags& supervisor_flags,
                 const TelemetryFlags& telemetry_flags) {
   namespace fs = std::filesystem;
@@ -558,20 +575,20 @@ int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
   SupervisorOptions options;
   options.max_attempts = supervisor_flags.max_attempts;
   options.base_timeout_seconds = supervisor_flags.base_timeout_seconds;
-  options.speculate = supervisor_flags.speculate;
+  options.speculate = !supervisor_flags.no_speculate;
   options.scratch_dir = scratch.dir.string();
   options.journal_path = supervisor_flags.journal_path;
   options.trace = sinks.recorder.get();
 
   const std::string exe = self_executable();
-  const std::string inject_spec = chaos_spec_name(supervisor_flags.chaos);
-  const std::uint64_t inject_seed = supervisor_flags.chaos.seed;
+  const ChaosOptions chaos = supervisor_flags.chaos();
+  const std::string inject_spec = chaos_spec_name(chaos);
+  const std::string kernel = kernel_mode_name(kernel_mode);
   const bool tracing = sinks.recorder != nullptr;
   const std::int64_t trace_rounds = telemetry_flags.trace_rounds;
   const WorkerCommand command =
-      [&exe, workers_per_shard, kernel_mode, &inject_spec, inject_seed,
-       tracing, trace_rounds,
-       &worker_trace_path](const ShardAttemptContext& context) {
+      [&exe, workers_per_shard, &kernel, &inject_spec, &chaos, tracing,
+       trace_rounds, &worker_trace_path](const ShardAttemptContext& context) {
         std::vector<std::string> argv = {
             exe,
             "shard",
@@ -579,7 +596,7 @@ int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
             context.manifest_path,
             "--out=" + context.result_path,
             "--workers=" + std::to_string(workers_per_shard),
-            "--kernel=" + std::string(kernel_mode_name(kernel_mode))};
+            "--kernel=" + kernel};
         if (tracing) {
           argv.push_back("--trace=" + worker_trace_path(context.shard_index,
                                                         context.attempt));
@@ -589,13 +606,14 @@ int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
           // The worker draws its own fault from (spec, seed, shard,
           // attempt) — the supervisor only forwards the attempt number.
           argv.push_back("--inject=" + inject_spec);
-          argv.push_back("--inject-seed=" + std::to_string(inject_seed));
+          argv.push_back("--inject-seed=" + std::to_string(chaos.seed));
           argv.push_back("--attempt=" + std::to_string(context.attempt));
         }
         return argv;
       };
 
   const SupervisorReport report = supervise_shards(plan, options, command);
+  const SupervisionSummary summary = report.summary();
 
   // Stitch the accepted attempt of every completed shard into the merged
   // trace while scratch still exists. A worker that died before writing
@@ -623,15 +641,14 @@ int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
   if (sinks.registry != nullptr) {
     // Sharded --metrics snapshots the supervisor process: the supervision
     // counters (cell-level metrics live in the workers).
-    sinks.registry->add("supervisor.attempts", report.attempts);
-    sinks.registry->add("supervisor.retries", report.retries);
-    sinks.registry->add("supervisor.requeues", report.requeues);
+    sinks.registry->add("supervisor.attempts", summary.attempts);
+    sinks.registry->add("supervisor.retries", summary.retries);
+    sinks.registry->add("supervisor.requeues", summary.requeues);
     sinks.registry->add("supervisor.stragglers_respawned",
-                        report.stragglers_respawned);
+                        summary.stragglers_respawned);
     sinks.registry->add("supervisor.shards_from_journal",
-                        report.shards_from_journal);
-    sinks.registry->add("supervisor.shards_failed",
-                        static_cast<std::int64_t>(report.failed_shards.size()));
+                        summary.shards_from_journal);
+    sinks.registry->add("supervisor.shards_failed", summary.shards_failed);
   }
   sinks.write(telemetry_flags);
   std::fprintf(stderr,
@@ -660,115 +677,131 @@ int run_sharded(const char* what, const std::vector<CampaignCell>& cells,
     std::fprintf(stderr, "%s: %s\n", what, report.failure_summary().c_str());
     std::fprintf(stderr, "%s: %s\n", what, partial.describe().c_str());
   }
+  merged.supervision = summary;
+  return report_campaign(what, merged, report_flags);
+}
 
-  merged.supervision.enabled = true;
-  merged.supervision.shards = static_cast<int>(plan.shards.size());
-  merged.supervision.attempts = report.attempts;
-  merged.supervision.retries = report.retries;
-  merged.supervision.requeues = report.requeues;
-  merged.supervision.stragglers_respawned = report.stragglers_respawned;
-  merged.supervision.shards_from_journal = report.shards_from_journal;
-  merged.supervision.shards_failed =
-      static_cast<int>(report.failed_shards.size());
-  std::vector<double> attempt_seconds;
-  for (const ShardSupervision& sup : report.shards) {
-    ShardSupervisionRow row;
-    row.shard_index = sup.shard_index;
-    row.completed = sup.completed;
-    row.from_journal = sup.from_journal;
-    row.attempts = sup.attempts;
-    row.retries = sup.retries;
-    row.stragglers_respawned = sup.stragglers_respawned;
-    row.total_attempt_seconds = sup.total_attempt_seconds;
-    for (const ShardAttemptRecord& record : sup.log) {
-      ShardAttemptTiming timing;
-      timing.attempt = record.attempt;
-      timing.speculative = record.speculative;
-      timing.start_seconds = record.start_seconds;
-      timing.end_seconds = record.end_seconds;
-      timing.killed = record.killed;
-      timing.outcome = record.outcome;
-      if (record.killed) ++merged.supervision.attempts_killed;
-      row.attempt_log.push_back(std::move(timing));
+// --- verbs -------------------------------------------------------------------
+
+void print_registry_listing() {
+  const auto& registry = default_algorithm_registry();
+  std::printf("scenario families:\n");
+  for (const auto& name : default_scenarios().names())
+    std::printf("  %-16s %s\n", name.c_str(),
+                default_scenarios().describe(name).c_str());
+  std::printf("algorithms (selection accepts globs and 'all'):\n");
+  for (const auto& name : registry.names()) {
+    const AlgorithmSpec& spec = registry.spec(name);
+    std::string knobs;
+    for (const auto& [knob, knob_value] : spec.knobs) {
+      char buffer[48];
+      std::snprintf(buffer, sizeof(buffer), "%s%s=%g",
+                    knobs.empty() ? "" : " ", knob.c_str(), knob_value);
+      knobs += buffer;
     }
-    merged.supervision.rows.push_back(row);
-    if (!sup.from_journal)
-      attempt_seconds.push_back(sup.total_attempt_seconds);
+    std::printf("  %-26s problem=%-14s %s%s%s\n      %s\n", name.c_str(),
+                spec.problem.c_str(), knobs.empty() ? "" : "knobs:",
+                knobs.c_str(), knobs.empty() ? "" : ";",
+                spec.describe.c_str());
   }
-  merged.supervision.attempt_seconds =
-      campaign_percentiles(std::move(attempt_seconds));
-  return report_campaign(what, merged, json_output, canonical, log_path);
+}
+
+/// `sweep` and `table1`: build the grid, then run it in process or as
+/// supervised shard processes (--shards=K) and report it. The two verbs
+/// differ only in the grid rows they accept and their defaults.
+int run_grid(const std::string& verb, int argc, char** argv) {
+  const bool table1 = verb == "table1";
+  GridFlags grid;
+  RunFlags run;
+  ReportFlags report;
+  SupervisorFlags supervisor;
+  TelemetryFlags telemetry_flags;
+  bool list = false;
+  FlagTable table;
+  if (table1) {
+    grid.table1 = true;
+    grid.params.n = 256;
+    table.add(grid.rows(), {"--n", "--seeds", "--smoke"});
+  } else {
+    grid.scenarios = "gnp,power-law,geometric,layered-forest,caterpillar";
+    grid.algorithms = "mis-uniform,mis-fastest";
+    grid.params.n = 200;
+    table.add(grid.rows(),
+              {"--scenarios", "--algorithms", "--n", "--a", "--b", "--seeds"});
+    table.add({"--list", FlagKind::kSwitch, &list});
+  }
+  table.add(grid.network.rows());
+  table.add(run.rows());
+  table.add(report.rows());
+  table.add(supervisor.rows());
+  table.add(telemetry_flags.rows());
+  if (!table.parse({argv + 2, argv + argc}).empty() || !report.valid())
+    return usage();
+  const ShardPolicy policy = run.shard_policy();
+  const KernelMode kernel_mode = run.kernel_mode();
+  telemetry_flags.check(table);
+  if (list) {
+    print_registry_listing();
+    return 0;
+  }
+
+  const auto cells = grid.cells(table);
+  if (table1)
+    std::fprintf(stderr,
+                 "table1: %zu cells (%zu algorithms x their Table 1 "
+                 "families x %d seed%s, n=%d)\n",
+                 cells.size(), default_algorithm_registry().names().size(),
+                 grid.seeds, grid.seeds == 1 ? "" : "s", grid.params.n);
+  if (cells.empty()) {
+    std::fprintf(stderr, "%s: empty grid\n", verb.c_str());
+    return 1;
+  }
+  supervisor.check(table, run.shards);
+  if (run.shards > 0) {
+    // --workers now means workers per shard process; default to an even
+    // split of the machine instead of oversubscribing it K times.
+    const int per_shard = table.given("--workers")
+                              ? run.workers
+                              : std::max(1, run.workers / run.shards);
+    return run_sharded(verb.c_str(), cells, run.shards, policy, per_shard,
+                       kernel_mode, report, supervisor, telemetry_flags);
+  }
+  const TelemetrySinks sinks(telemetry_flags);
+  const telemetry::ScopedMetrics scoped_metrics(sinks.registry.get());
+  if (sinks.recorder != nullptr)
+    sinks.recorder->set_process_name(1, "campaign");
+  CampaignOptions options;
+  options.workers = run.workers;
+  options.kernel_mode = kernel_mode;
+  options.trace = sinks.recorder.get();
+  options.trace_rounds = telemetry_flags.trace_rounds;
+  const CampaignResult result = run_campaign(cells, options);
+  sinks.write(telemetry_flags);
+  return report_campaign(verb.c_str(), result, report);
 }
 
 int run_shard_plan(int argc, char** argv) {
   std::string dir;
-  int shards = 0;
-  ShardPolicy policy = ShardPolicy::kCostBalanced;
-  bool table1 = false;
-  bool smoke = false;
-  bool n_given = false;
-  bool seeds_given = false;
-  std::vector<std::string> scenarios;
-  std::vector<std::string> algorithm_patterns;
-  NetworkFlags network_flags;
-  ScenarioParams params;
-  params.n = 256;
-  int seeds = 2;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
-    if (network_flags.consume(arg)) {
-    } else if (arg == "--table1") {
-      table1 = true;
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--dir=", 0) == 0) {
-      dir = value();
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = parse_count("--shards", value());
-    } else if (arg.rfind("--policy=", 0) == 0) {
-      policy = parse_shard_policy(value());
-    } else if (arg.rfind("--scenarios=", 0) == 0) {
-      scenarios = split_csv(value());
-    } else if (arg.rfind("--algorithms=", 0) == 0 ||
-               arg.rfind("--algos=", 0) == 0) {
-      algorithm_patterns = split_csv(value());
-    } else if (arg.rfind("--n=", 0) == 0) {
-      params.n = parse_count("--n", value());
-      n_given = true;
-    } else if (arg.rfind("--a=", 0) == 0) {
-      params.a = std::stod(value());
-    } else if (arg.rfind("--b=", 0) == 0) {
-      params.b = std::stod(value());
-    } else if (arg.rfind("--seeds=", 0) == 0) {
-      seeds = parse_count("--seeds", value());
-      seeds_given = true;
-    } else {
-      return usage();
-    }
-  }
-  if (dir.empty() || shards < 1) return usage();
-  if (!table1 && (scenarios.empty() || algorithm_patterns.empty()))
+  RunFlags run;
+  GridFlags grid;
+  grid.params.n = 256;
+  FlagTable table;
+  table.add({"--dir", FlagKind::kString, &dir});
+  table.add(run.rows(), {"--shards", "--policy"});
+  table.add(grid.rows());
+  table.add(grid.network.rows());
+  if (!table.parse({argv + 3, argv + argc}).empty()) return usage();
+  if (dir.empty() || run.shards < 1) return usage();
+  if (!grid.table1 &&
+      (split_csv(grid.scenarios).empty() || split_csv(grid.algorithms).empty()))
     return usage();
-  if (smoke) {
-    if (!n_given) params.n = 64;
-    if (!seeds_given) seeds = 1;
-  }
-  GridOptions grid_options;
-  grid_options.networks = network_flags.resolve();
-  std::vector<CampaignCell> cells;
-  if (table1) {
-    cells = make_table1_grid(params, seeds, grid_options);
-  } else {
-    const auto algorithms =
-        default_algorithm_registry().resolve(algorithm_patterns);
-    cells = make_grid(scenarios, params, algorithms, seeds, grid_options);
-  }
+  const ShardPolicy policy = run.shard_policy();
+  const auto cells = grid.cells(table);
   if (cells.empty()) {
     std::fprintf(stderr, "shard plan: empty grid\n");
     return 1;
   }
-  const ShardPlan plan = plan_shards(cells, shards, policy);
+  const ShardPlan plan = plan_shards(cells, run.shards, policy);
 
   namespace fs = std::filesystem;
   fs::create_directories(dir);
@@ -790,47 +823,31 @@ int run_shard_plan(int argc, char** argv) {
   std::fprintf(stderr,
                "shard plan: %zu cells into %d shards (%s), grid hash %llu, "
                "plan at %s/plan.json\n",
-               cells.size(), shards, shard_policy_name(policy),
+               cells.size(), run.shards, shard_policy_name(policy),
                static_cast<unsigned long long>(plan.grid_hash), dir.c_str());
   return 0;
 }
 
 int run_shard_run(int argc, char** argv) {
-  std::string manifest_path;
   std::string out_path;
-  unsigned workers = std::thread::hardware_concurrency();
-  if (workers == 0) workers = 1;
-  KernelMode kernel_mode = KernelMode::kAuto;
-  ChaosOptions chaos;
+  RunFlags run;
+  SupervisorFlags supervisor;
   TelemetryFlags telemetry_flags;
   int attempt = 1;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
-    if (telemetry_flags.consume(arg) || consume_kernel_flag(arg, kernel_mode)) {
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = value();
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      workers = static_cast<unsigned>(parse_count("--workers", value()));
-    } else if (arg.rfind("--inject=", 0) == 0) {
-      const std::uint64_t seed = chaos.seed;
-      chaos = parse_chaos_spec(value());
-      chaos.seed = seed;
-    } else if (arg.rfind("--inject-seed=", 0) == 0) {
-      chaos.seed = std::stoull(value());
-    } else if (arg.rfind("--attempt=", 0) == 0) {
-      attempt = std::stoi(value());
-    } else if (arg.rfind("--", 0) == 0) {
-      return usage();
-    } else if (manifest_path.empty()) {
-      manifest_path = arg;
-    } else {
-      return usage();
-    }
-  }
-  if (manifest_path.empty()) return usage();
+  FlagTable table;
+  table.add({"--out", FlagKind::kString, &out_path});
+  table.add(run.rows(), {"--workers", "--kernel"});
+  table.add(supervisor.rows(), {"--inject", "--inject-seed"});
+  table.add({"--attempt", FlagKind::kCount, &attempt});
+  table.add(telemetry_flags.rows());
+  const std::vector<std::string> positional =
+      table.parse({argv + 3, argv + argc});
+  if (positional.size() != 1) return usage();
+  telemetry_flags.check(table);
+  const KernelMode kernel_mode = run.kernel_mode();
+  const ChaosOptions chaos = supervisor.chaos();
   const ShardManifest manifest =
-      ShardManifest::from_json(json::Value::parse(read_text_file(manifest_path)));
+      ShardManifest::from_json(json::Value::parse(read_text_file(positional[0])));
 
   // Chaos harness (the supervisor's --inject, forwarded here with the
   // attempt number): the fault is a pure function of (spec, seed, shard,
@@ -854,7 +871,7 @@ int run_shard_run(int argc, char** argv) {
     sinks.recorder->set_process_name(
         1, "shard " + std::to_string(manifest.shard_index));
   CampaignOptions options;
-  options.workers = static_cast<int>(workers);
+  options.workers = run.workers;
   options.kernel_mode = kernel_mode;
   options.trace = sinks.recorder.get();
   options.trace_rounds = telemetry_flags.trace_rounds;
@@ -891,42 +908,20 @@ int run_shard_run(int argc, char** argv) {
 }
 
 int run_shard_merge(int argc, char** argv) {
-  std::string plan_path;
-  std::vector<std::string> result_paths;
-  bool json_output = false;
-  bool canonical = false;
-  std::string log_path;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
-    if (arg == "--canonical") {
-      canonical = true;
-      json_output = true;
-    } else if (arg.rfind("--format=", 0) == 0) {
-      const std::string format = value();
-      if (format != "csv" && format != "json") return usage();
-      json_output = format == "json";
-    } else if (arg.rfind("--log=", 0) == 0) {
-      log_path = value();
-    } else if (arg.rfind("--", 0) == 0) {
-      return usage();
-    } else if (plan_path.empty()) {
-      plan_path = arg;
-    } else {
-      result_paths.push_back(arg);
-    }
-  }
-  if (plan_path.empty() || result_paths.empty()) return usage();
+  ReportFlags report;
+  FlagTable table;
+  table.add(report.rows());
+  const std::vector<std::string> paths = table.parse({argv + 3, argv + argc});
+  if (paths.size() < 2 || !report.valid()) return usage();
   const ShardPlan plan =
-      ShardPlan::from_json(json::Value::parse(read_text_file(plan_path)));
+      ShardPlan::from_json(json::Value::parse(read_text_file(paths[0])));
   std::vector<ShardResult> results;
-  results.reserve(result_paths.size());
-  for (const std::string& path : result_paths)
+  results.reserve(paths.size() - 1);
+  for (std::size_t i = 1; i < paths.size(); ++i)
     results.push_back(
-        ShardResult::from_json(json::Value::parse(read_text_file(path))));
+        ShardResult::from_json(json::Value::parse(read_text_file(paths[i]))));
   const CampaignResult merged = merge_shard_results(plan, results);
-  return report_campaign("shard merge", merged, json_output, canonical,
-                         log_path);
+  return report_campaign("shard merge", merged, report);
 }
 
 int run_shard_command(int argc, char** argv) {
@@ -938,211 +933,14 @@ int run_shard_command(int argc, char** argv) {
   return usage();
 }
 
-int run_sweep(int argc, char** argv) {
-  std::vector<std::string> scenarios = {"gnp", "power-law", "geometric",
-                                        "layered-forest", "caterpillar"};
-  std::vector<std::string> algorithm_patterns = {"mis-uniform",
-                                                 "mis-fastest"};
-  ScenarioParams params;
-  params.n = 200;
-  int seeds = 2;
-  unsigned workers = std::thread::hardware_concurrency();
-  if (workers == 0) workers = 1;
-  bool workers_given = false;
-  int shards = 0;
-  ShardPolicy policy = ShardPolicy::kCostBalanced;
-  KernelMode kernel_mode = KernelMode::kAuto;
-  NetworkFlags network_flags;
-  SupervisorFlags supervisor_flags;
-  TelemetryFlags telemetry_flags;
-  bool json_output = false;
-  bool canonical = false;
-  std::string log_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
-    if (network_flags.consume(arg) || supervisor_flags.consume(arg) ||
-        telemetry_flags.consume(arg) || consume_kernel_flag(arg, kernel_mode)) {
-    } else if (arg == "--list") {
-      const auto& registry = default_algorithm_registry();
-      std::printf("scenario families:\n");
-      for (const auto& name : default_scenarios().names())
-        std::printf("  %-16s %s\n", name.c_str(),
-                    default_scenarios().describe(name).c_str());
-      std::printf("algorithms (selection accepts globs and 'all'):\n");
-      for (const auto& name : registry.names()) {
-        const AlgorithmSpec& spec = registry.spec(name);
-        std::string knobs;
-        for (const auto& [knob, knob_value] : spec.knobs) {
-          char buffer[48];
-          std::snprintf(buffer, sizeof(buffer), "%s%s=%g",
-                        knobs.empty() ? "" : " ", knob.c_str(), knob_value);
-          knobs += buffer;
-        }
-        std::printf("  %-26s problem=%-14s %s%s%s\n      %s\n", name.c_str(),
-                    spec.problem.c_str(), knobs.empty() ? "" : "knobs:",
-                    knobs.c_str(), knobs.empty() ? "" : ";",
-                    spec.describe.c_str());
-      }
-      return 0;
-    } else if (arg.rfind("--scenarios=", 0) == 0) {
-      scenarios = split_csv(value());
-    } else if (arg.rfind("--algorithms=", 0) == 0 ||
-               arg.rfind("--algos=", 0) == 0) {
-      algorithm_patterns = split_csv(value());
-    } else if (arg.rfind("--n=", 0) == 0) {
-      params.n = parse_count("--n", value());
-    } else if (arg.rfind("--a=", 0) == 0) {
-      params.a = std::stod(value());
-    } else if (arg.rfind("--b=", 0) == 0) {
-      params.b = std::stod(value());
-    } else if (arg.rfind("--seeds=", 0) == 0) {
-      seeds = parse_count("--seeds", value());
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      workers = static_cast<unsigned>(parse_count("--workers", value()));
-      workers_given = true;
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = parse_count("--shards", value());
-    } else if (arg.rfind("--policy=", 0) == 0) {
-      policy = parse_shard_policy(value());
-    } else if (arg == "--canonical") {
-      canonical = true;
-      json_output = true;
-    } else if (arg.rfind("--log=", 0) == 0) {
-      log_path = value();
-    } else if (arg.rfind("--format=", 0) == 0) {
-      const std::string format = value();
-      if (format != "csv" && format != "json") return usage();
-      json_output = format == "json";
-    } else {
-      return usage();
-    }
-  }
-  // Globs and 'all' expand against the registry; make_grid then validates
-  // every key up front (one error listing all unknown keys).
-  const auto algorithms =
-      default_algorithm_registry().resolve(algorithm_patterns);
-  GridOptions grid_options;
-  grid_options.networks = network_flags.resolve();
-  const auto cells =
-      make_grid(scenarios, params, algorithms, seeds, grid_options);
-  if (cells.empty()) {
-    std::fprintf(stderr, "sweep: empty grid\n");
-    return 1;
-  }
-  supervisor_flags.require_shards(shards);
-  if (shards > 0) {
-    // --workers now means workers per shard process; default to an even
-    // split of the machine instead of oversubscribing it K times.
-    const int per_shard = workers_given
-                              ? static_cast<int>(workers)
-                              : std::max(1, static_cast<int>(workers) / shards);
-    return run_sharded("sweep", cells, shards, policy, per_shard, kernel_mode,
-                       json_output, canonical, log_path, supervisor_flags,
-                       telemetry_flags);
-  }
-  const TelemetrySinks sinks(telemetry_flags);
-  const telemetry::ScopedMetrics scoped_metrics(sinks.registry.get());
-  if (sinks.recorder != nullptr)
-    sinks.recorder->set_process_name(1, "campaign");
-  CampaignOptions options;
-  options.workers = static_cast<int>(workers);
-  options.kernel_mode = kernel_mode;
-  options.trace = sinks.recorder.get();
-  options.trace_rounds = telemetry_flags.trace_rounds;
-  const CampaignResult result = run_campaign(cells, options);
-  sinks.write(telemetry_flags);
-  return report_campaign("sweep", result, json_output, canonical, log_path);
-}
+// --- single problem ------------------------------------------------------------
 
-int run_table1(int argc, char** argv) {
-  ScenarioParams params;
-  params.n = 256;
-  int seeds = 2;
-  unsigned workers = std::thread::hardware_concurrency();
-  if (workers == 0) workers = 1;
-  bool workers_given = false;
-  int shards = 0;
-  ShardPolicy policy = ShardPolicy::kCostBalanced;
-  KernelMode kernel_mode = KernelMode::kAuto;
-  NetworkFlags network_flags;
-  SupervisorFlags supervisor_flags;
-  TelemetryFlags telemetry_flags;
-  bool json_output = false;
-  bool canonical = false;
-  bool smoke = false;
-  bool n_given = false;
-  bool seeds_given = false;
-  std::string log_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&arg] { return arg.substr(arg.find('=') + 1); };
-    if (network_flags.consume(arg) || supervisor_flags.consume(arg) ||
-        telemetry_flags.consume(arg) || consume_kernel_flag(arg, kernel_mode)) {
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--n=", 0) == 0) {
-      params.n = parse_count("--n", value());
-      n_given = true;
-    } else if (arg.rfind("--seeds=", 0) == 0) {
-      seeds = parse_count("--seeds", value());
-      seeds_given = true;
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      workers = static_cast<unsigned>(parse_count("--workers", value()));
-      workers_given = true;
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = parse_count("--shards", value());
-    } else if (arg.rfind("--policy=", 0) == 0) {
-      policy = parse_shard_policy(value());
-    } else if (arg == "--canonical") {
-      canonical = true;
-      json_output = true;
-    } else if (arg.rfind("--log=", 0) == 0) {
-      log_path = value();
-    } else if (arg.rfind("--format=", 0) == 0) {
-      const std::string format = value();
-      if (format != "csv" && format != "json") return usage();
-      json_output = format == "json";
-    } else {
-      return usage();
-    }
-  }
-  // --smoke shrinks only the knobs the user did not set explicitly, so
-  // flag order never changes the grid (and hence the --log grid hash).
-  if (smoke) {
-    if (!n_given) params.n = 64;
-    if (!seeds_given) seeds = 1;
-  }
-  GridOptions grid_options;
-  grid_options.networks = network_flags.resolve();
-  const auto cells = make_table1_grid(params, seeds, grid_options);
-  std::fprintf(stderr,
-               "table1: %zu cells (%zu algorithms x their Table 1 "
-               "families x %d seed%s, n=%d)\n",
-               cells.size(), default_algorithm_registry().names().size(),
-               seeds, seeds == 1 ? "" : "s", params.n);
-  supervisor_flags.require_shards(shards);
-  if (shards > 0) {
-    const int per_shard = workers_given
-                              ? static_cast<int>(workers)
-                              : std::max(1, static_cast<int>(workers) / shards);
-    return run_sharded("table1", cells, shards, policy, per_shard,
-                       kernel_mode, json_output, canonical, log_path,
-                       supervisor_flags, telemetry_flags);
-  }
-  const TelemetrySinks sinks(telemetry_flags);
-  const telemetry::ScopedMetrics scoped_metrics(sinks.registry.get());
-  if (sinks.recorder != nullptr)
-    sinks.recorder->set_process_name(1, "campaign");
-  CampaignOptions options;
-  options.workers = static_cast<int>(workers);
-  options.kernel_mode = kernel_mode;
-  options.trace = sinks.recorder.get();
-  options.trace_rounds = telemetry_flags.trace_rounds;
-  const CampaignResult result = run_campaign(cells, options);
-  sinks.write(telemetry_flags);
-  return report_campaign("table1", result, json_output, canonical, log_path);
-}
+/// The single-problem names and the registry pipeline each one runs.
+constexpr std::pair<std::string_view, const char*> kProblemPipelines[] = {
+    {"mis", "mis-uniform"},
+    {"matching", "matching-uniform"},
+    {"coloring", "coloring-theorem5"},
+    {"rulingset2", "rulingset2-lv"}};
 
 void emit_stats(const EngineStats& stats, const char* what) {
   std::ostringstream line;
@@ -1154,108 +952,56 @@ void emit_stats(const EngineStats& stats, const char* what) {
                line.str().c_str(), stats.batch_occupancy());
 }
 
-void emit(const Instance& instance, const std::vector<std::int64_t>& outputs,
-          std::int64_t rounds, bool valid, const char* what) {
-  for (NodeId v = 0; v < instance.num_nodes(); ++v) {
-    std::printf("%lld %lld\n",
-                static_cast<long long>(
-                    instance.identities[static_cast<std::size_t>(v)]),
-                static_cast<long long>(outputs[static_cast<std::size_t>(v)]));
-  }
-  std::fprintf(stderr, "%s: n=%d rounds=%lld valid=%s\n", what,
-               instance.num_nodes(), static_cast<long long>(rounds),
-               valid ? "yes" : "NO");
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc >= 1 && argv[0] != nullptr) g_self_path = argv[0];
-  if (argc >= 2 && std::strcmp(argv[1], "shard") == 0) {
-    try {
-      return run_shard_command(argc, argv);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "shard: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "sweep") == 0) {
-    try {
-      return run_sweep(argc, argv);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "sweep: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "table1") == 0) {
-    try {
-      return run_table1(argc, argv);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "table1: %s\n", e.what());
-      return 1;
-    }
-  }
+/// `unilocal_cli <problem> [file]`: one registry pipeline on one graph,
+/// run with seed 1 and scored by the entry's own checker.
+int run_problem(int argc, char** argv) {
   bool want_stats = false;
-  UniformRunOptions run_options;
+  std::string stats_json_path;
+  RunFlags run;
   NetworkFlags network_flags;
   TelemetryFlags telemetry_flags;
-  std::string stats_json_path;
-  const char* file = nullptr;
-  const char* problem_arg = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    bool consumed = false;
-    try {
-      // Malformed --network=/--drop=/--kernel=/... values are rejected
-      // here with an error naming the flag.
-      consumed = network_flags.consume(arg) || telemetry_flags.consume(arg) ||
-                 consume_kernel_flag(arg, run_options.kernel_mode);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return usage();
-    }
-    if (consumed) {
-    } else if (arg.rfind("--stats-json=", 0) == 0) {
-      stats_json_path = arg.substr(arg.find('=') + 1);
-    } else if (arg == "--stats") {
-      want_stats = true;
-    } else if (problem_arg == nullptr) {
-      problem_arg = argv[i];
-    } else if (file == nullptr) {
-      file = argv[i];
-    } else {
-      return usage();
-    }
-  }
-  if (problem_arg == nullptr) return usage();
+  FlagTable table;
+  table.add({"--stats", FlagKind::kSwitch, &want_stats});
+  table.add({"--stats-json", FlagKind::kString, &stats_json_path});
+  table.add(run.rows(), {"--kernel"});
+  table.add(network_flags.rows());
+  table.add(telemetry_flags.rows());
+  std::vector<std::string> positional;
+  AlgorithmRunContext context;
   try {
-    // Unknown presets ("--network=delay:pareto") and knobs without a
-    // delayed network surface here, before any graph is read.
-    run_options.network = network_flags.resolve_single();
+    // Malformed values, unknown presets ("--network=delay:pareto") and
+    // knobs without a delayed network surface here, before any graph is
+    // read.
+    positional = table.parse({argv + 1, argv + argc});
+    telemetry_flags.check(table);
+    context.kernel_mode = run.kernel_mode();
+    context.network = network_flags.resolve_single(table);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return usage();
   }
-  Graph g;
-  try {
-    if (file != nullptr) {
-      std::ifstream in(file);
-      if (!in) {
-        std::fprintf(stderr, "cannot open %s\n", file);
-        return 1;
-      }
-      g = read_edge_list(in);
-    } else {
-      g = read_edge_list(std::cin);
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "parse error: %s\n", e.what());
-    return 1;
-  }
-  Instance instance = make_instance(std::move(g),
-                                    IdentityScheme::kRandomPermuted, 1);
+  if (positional.empty() || positional.size() > 2) return usage();
+  const std::string& problem = positional[0];
+  const auto* pipeline = std::find_if(
+      std::begin(kProblemPipelines), std::end(kProblemPipelines),
+      [&problem](const auto& entry) { return entry.first == problem; });
+  if (pipeline == std::end(kProblemPipelines)) return usage();
+  const std::string key = pipeline->second;
 
-  const std::string problem = problem_arg;
+  Graph g;
+  if (positional.size() == 2) {
+    std::ifstream in(positional[1]);
+    if (!in) {
+      std::fprintf(stderr, "cannot open %s\n", positional[1].c_str());
+      return 1;
+    }
+    g = read_edge_list(in);
+  } else {
+    g = read_edge_list(std::cin);
+  }
+  const Instance instance =
+      make_instance(std::move(g), IdentityScheme::kRandomPermuted, 1);
+
   // --stats-json folds a metrics snapshot into its document, so it wants a
   // registry even without --metrics.
   const TelemetrySinks sinks(telemetry_flags, !stats_json_path.empty());
@@ -1268,78 +1014,53 @@ int main(int argc, char** argv) {
     binding.trace_rounds = telemetry_flags.trace_rounds;
     trace_scope = std::make_unique<telemetry::ScopedTraceBinding>(binding);
   }
-  EngineStats engine_stats;
-  std::int64_t total_rounds = 0;
-  try {
-  if (problem == "mis") {
-    const auto algorithm = make_coloring_mis();
-    const RulingSetPruning pruning(1);
-    const auto result =
-        run_uniform_transformer(instance, *algorithm, pruning, run_options);
-    emit(instance, result.outputs, result.total_rounds,
-         result.solved &&
-             is_maximal_independent_set(instance.graph, result.outputs),
-         "mis");
-    if (want_stats) emit_stats(result.engine_stats, "mis");
-    engine_stats = result.engine_stats;
-    total_rounds = result.total_rounds;
-  } else if (problem == "matching") {
-    const auto algorithm = make_colored_matching();
-    const MatchingPruning pruning;
-    const auto result =
-        run_uniform_transformer(instance, *algorithm, pruning, run_options);
-    emit(instance, result.outputs, result.total_rounds,
-         result.solved && is_maximal_matching(instance.graph, result.outputs),
-         "matching");
-    if (want_stats) emit_stats(result.engine_stats, "matching");
-    engine_stats = result.engine_stats;
-    total_rounds = result.total_rounds;
-  } else if (problem == "coloring") {
-    const auto algorithm = make_lambda_gdelta_coloring(1);
-    const auto result =
-        run_uniform_coloring_transform(instance, *algorithm, run_options);
-    emit(instance, result.colors, result.total_rounds,
-         result.solved && is_proper_coloring(instance.graph, result.colors),
-         "coloring");
-    if (want_stats) emit_stats(result.engine_stats, "coloring");
-    engine_stats = result.engine_stats;
-    total_rounds = result.total_rounds;
-  } else if (problem == "rulingset2") {
-    const auto algorithm = make_mc_ruling_set(2);
-    const RulingSetPruning pruning(2);
-    const auto result =
-        run_las_vegas_transformer(instance, *algorithm, pruning, run_options);
-    emit(instance, result.outputs, result.total_rounds,
-         result.solved &&
-             is_two_beta_ruling_set(instance.graph, result.outputs, 2),
-         "rulingset2");
-    if (want_stats) emit_stats(result.engine_stats, "rulingset2");
-    engine_stats = result.engine_stats;
-    total_rounds = result.total_rounds;
-  } else {
-    return usage();
+  const AlgorithmRegistry& registry = default_algorithm_registry();
+  const CellOutcome outcome = registry.run(key, instance, context);
+  const bool valid =
+      outcome.solved && registry.problem(key).check(instance, outcome.outputs);
+  for (NodeId v = 0; v < instance.num_nodes(); ++v) {
+    std::printf("%lld %lld\n",
+                static_cast<long long>(
+                    instance.identities[static_cast<std::size_t>(v)]),
+                static_cast<long long>(
+                    outcome.outputs[static_cast<std::size_t>(v)]));
   }
-  } catch (const std::exception& e) {
-    // e.g. --kernel=on on a pipeline with unlowered stages.
-    std::fprintf(stderr, "%s: %s\n", problem.c_str(), e.what());
-    return 1;
-  }
-  try {
-    sinks.write(telemetry_flags);
-    if (!stats_json_path.empty()) {
-      // One document: the run's EngineStats merged with the metrics
-      // snapshot (the same registry the engine reported into).
-      json::Value doc = json::Value::object();
-      doc.set("problem", json::Value::string(problem));
-      doc.set("rounds", json::Value::number(total_rounds));
-      doc.set("engine", engine_stats_to_json(engine_stats));
-      const json::Value metrics_doc = sinks.registry->to_json();
-      doc.set("metrics", *metrics_doc.find("metrics"));
-      write_text_file(stats_json_path, doc.dump() + "\n");
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "telemetry: %s\n", e.what());
-    return 1;
+  std::fprintf(stderr, "%s: n=%d rounds=%lld valid=%s\n", problem.c_str(),
+               instance.num_nodes(), static_cast<long long>(outcome.rounds),
+               valid ? "yes" : "NO");
+  if (want_stats) emit_stats(outcome.stats, problem.c_str());
+
+  sinks.write(telemetry_flags);
+  if (!stats_json_path.empty()) {
+    // One document: the run's EngineStats merged with the metrics
+    // snapshot (the same registry the engine reported into).
+    json::Value doc = json::Value::object();
+    doc.set("problem", json::Value::string(problem));
+    doc.set("rounds", json::Value::number(outcome.rounds));
+    doc.set("engine", engine_stats_to_json(outcome.stats));
+    const json::Value metrics_doc = sinks.registry->to_json();
+    doc.set("metrics", *metrics_doc.find("metrics"));
+    write_text_file(stats_json_path, doc.dump() + "\n");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc >= 1 && argv[0] != nullptr) g_self_path = argv[0];
+  const std::string verb = argc >= 2 ? argv[1] : "";
+  try {
+    if (verb == "shard") return run_shard_command(argc, argv);
+    if (verb == "sweep" || verb == "table1") return run_grid(verb, argc, argv);
+    return run_problem(argc, argv);
+  } catch (const UnknownFlagError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return usage();
+  } catch (const std::exception& e) {
+    // e.g. a malformed flag value, or --kernel=on on a pipeline with
+    // unlowered stages.
+    std::fprintf(stderr, "%s: %s\n", verb.c_str(), e.what());
+    return 1;
+  }
 }

@@ -463,13 +463,13 @@ void write_campaign_csv(std::ostream& out, const CampaignResult& result) {
   }
 }
 
-void write_supervision_csv(std::ostream& out,
-                           const SupervisionSummary& summary) {
+void write_supervised_shards_csv(std::ostream& out,
+                                const SupervisionSummary& summary) {
   out << "shard,completed,from_journal,attempts,retries,"
          "stragglers_respawned,total_attempt_seconds,attempts_killed\n";
-  for (const ShardSupervisionRow& row : summary.rows) {
+  for (const ShardSupervision& row : summary.rows) {
     int killed = 0;
-    for (const ShardAttemptTiming& at : row.attempt_log)
+    for (const ShardAttemptRecord& at : row.log)
       if (at.killed) ++killed;
     out << row.shard_index << ',' << (row.completed ? 1 : 0) << ','
         << (row.from_journal ? 1 : 0) << ',' << row.attempts << ','
@@ -513,6 +513,38 @@ StatPercentiles parse_stat_percentiles_json(const json::Value& object) {
   return stats;
 }
 
+void write_supervisor_counters_json(std::ostream& out,
+                                    const SupervisionSummary& summary) {
+  out << "\"shards\":" << summary.shards
+      << ",\"attempts\":" << summary.attempts
+      << ",\"retries\":" << summary.retries
+      << ",\"requeues\":" << summary.requeues
+      << ",\"stragglers_respawned\":" << summary.stragglers_respawned
+      << ",\"shards_from_journal\":" << summary.shards_from_journal
+      << ",\"attempts_killed\":" << summary.attempts_killed
+      << ",\"shards_failed\":" << summary.shards_failed << ',';
+  write_percentiles_json(out, "attempt_seconds", summary.attempt_seconds);
+}
+
+SupervisionSummary parse_supervisor_counters_json(const json::Value& object) {
+  SupervisionSummary summary;
+  summary.enabled = true;
+  summary.shards = json::int_field<int>(object, "shards");
+  summary.attempts = json::int_field<int>(object, "attempts");
+  summary.retries = json::int_field<int>(object, "retries");
+  summary.requeues = json::int_field<int>(object, "requeues");
+  summary.stragglers_respawned =
+      json::int_field<int>(object, "stragglers_respawned");
+  summary.shards_from_journal =
+      json::int_field<int>(object, "shards_from_journal");
+  summary.shards_failed = json::int_field<int>(object, "shards_failed");
+  if (object.find("attempts_killed") != nullptr)
+    summary.attempts_killed = json::int_field<int>(object, "attempts_killed");
+  summary.attempt_seconds =
+      parse_percentiles_json(object.at("attempt_seconds"));
+  return summary;
+}
+
 void write_campaign_json(std::ostream& out, const CampaignResult& result,
                          const CampaignJsonOptions& options) {
   out << '{';
@@ -535,17 +567,11 @@ void write_campaign_json(std::ostream& out, const CampaignResult& result,
     // a retried shard computed the same bytes as a first-try one, so —
     // like the kernel/vtable split — it stays out of canonical mode.
     const SupervisionSummary& sup = result.supervision;
-    out << ",\"supervision\":{\"shards\":" << sup.shards
-        << ",\"attempts\":" << sup.attempts << ",\"retries\":" << sup.retries
-        << ",\"requeues\":" << sup.requeues
-        << ",\"stragglers_respawned\":" << sup.stragglers_respawned
-        << ",\"shards_from_journal\":" << sup.shards_from_journal
-        << ",\"attempts_killed\":" << sup.attempts_killed
-        << ",\"shards_failed\":" << sup.shards_failed << ',';
-    write_percentiles_json(out, "attempt_seconds", sup.attempt_seconds);
+    out << ",\"supervision\":{";
+    write_supervisor_counters_json(out, sup);
     out << ",\"per_shard\":[";
     for (std::size_t i = 0; i < sup.rows.size(); ++i) {
-      const ShardSupervisionRow& row = sup.rows[i];
+      const ShardSupervision& row = sup.rows[i];
       if (i != 0) out << ',';
       out << "{\"shard\":" << row.shard_index
           << ",\"completed\":" << (row.completed ? "true" : "false")
@@ -558,8 +584,8 @@ void write_campaign_json(std::ostream& out, const CampaignResult& result,
       // start plus the kill flag, so a killed straggler's timeline is
       // reconstructable without the live trace.
       out << ",\"attempt_log\":[";
-      for (std::size_t a = 0; a < row.attempt_log.size(); ++a) {
-        const ShardAttemptTiming& at = row.attempt_log[a];
+      for (std::size_t a = 0; a < row.log.size(); ++a) {
+        const ShardAttemptRecord& at = row.log[a];
         if (a != 0) out << ',';
         out << "{\"attempt\":" << at.attempt
             << ",\"speculative\":" << (at.speculative ? "true" : "false")

@@ -168,38 +168,43 @@ CampaignPercentiles parse_percentiles_json(const json::Value& value);
 /// older than a field).
 StatPercentiles parse_stat_percentiles_json(const json::Value& object);
 
-/// One supervised attempt's timing, relative to the supervision start
-/// (PR 10): persisted into the non-canonical JSON and the run log so
-/// post-hoc analysis of killed/straggler attempts does not need the live
-/// trace.
-struct ShardAttemptTiming {
+/// One launch of one shard, as the shard supervisor
+/// (src/runtime/supervisor.h) saw it end.
+struct ShardAttemptRecord {
   int attempt = 0;
   bool speculative = false;
-  /// Seconds from supervision start to fork / to reap.
+  double seconds = 0.0;
+  /// "accepted", "exited N", "killed by signal N", "timeout after Ns",
+  /// "invalid result: ...", "superseded", or "spawn failed: ...".
+  std::string outcome;
+  std::string stderr_path;
+  /// Launch/reap times in seconds since supervision began — the wall
+  /// placement of this attempt, not just its duration (end - start ==
+  /// seconds up to reap latency).
   double start_seconds = 0.0;
   double end_seconds = 0.0;
-  /// The supervisor SIGKILLed this attempt (deadline or superseded).
+  /// True when the supervisor SIGKILLed this attempt (deadline overrun or
+  /// superseded by an accepted sibling).
   bool killed = false;
-  /// "accepted", "superseded", or the wait-status description.
-  std::string outcome;
 };
 
-/// Per-shard supervision telemetry (the PR 9 shard supervisor,
-/// src/runtime/supervisor.h), carried on a merged CampaignResult when the
-/// campaign ran under supervision.
-struct ShardSupervisionRow {
+/// Per-shard supervision history.
+struct ShardSupervision {
   int shard_index = 0;
   bool completed = false;
-  /// The accepted result came from the checkpoint journal; no process ran.
+  /// True when the accepted result came from the checkpoint journal (no
+  /// process was launched at all).
   bool from_journal = false;
   int attempts = 0;
+  /// Requeues caused by a failed attempt (crash/exit/timeout/invalid).
   int retries = 0;
+  /// Speculative duplicates launched while an attempt was still running.
   int stragglers_respawned = 0;
   /// Wall-clock summed over every attempt of this shard (including killed
   /// and superseded ones).
   double total_attempt_seconds = 0.0;
-  /// Per-attempt timing history, in launch order.
-  std::vector<ShardAttemptTiming> attempt_log;
+  /// Every attempt, in launch order.
+  std::vector<ShardAttemptRecord> log;
 };
 
 /// Campaign-level supervision telemetry. Pure scheduling history — which
@@ -224,8 +229,21 @@ struct SupervisionSummary {
   int shards_failed = 0;
   /// Percentiles of per-shard total attempt wall-clock.
   CampaignPercentiles attempt_seconds;
-  std::vector<ShardSupervisionRow> rows;
+  /// One entry per plan shard, in shard-index order; the run log keeps
+  /// only the counters above.
+  std::vector<ShardSupervision> rows;
 };
+
+/// Writes the summary's counters and attempt_seconds block as JSON object
+/// members (no braces) — the one writer the campaign JSON and the run log
+/// share.
+void write_supervisor_counters_json(std::ostream& out,
+                                    const SupervisionSummary& summary);
+
+/// Reads what write_supervisor_counters_json wrote (enabled = true, no
+/// rows); attempts_killed may be absent. Throws std::runtime_error when
+/// malformed.
+SupervisionSummary parse_supervisor_counters_json(const json::Value& object);
 
 struct CampaignResult {
   /// One entry per input cell, in input order (independent of the
@@ -352,8 +370,8 @@ void write_campaign_csv(std::ostream& out, const CampaignResult& result);
 /// One CSV row per supervised shard plus a header row (the per-cell table
 /// above stays stable whether or not a campaign was supervised). Callers
 /// should skip it when !summary.enabled.
-void write_supervision_csv(std::ostream& out,
-                           const SupervisionSummary& summary);
+void write_supervised_shards_csv(std::ostream& out,
+                                const SupervisionSummary& summary);
 
 struct CampaignJsonOptions {
   /// Canonical mode emits only the deterministic fields — everything that

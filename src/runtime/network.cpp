@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cerrno>
-#include <cstdlib>
 #include <stdexcept>
 #include <tuple>
 
@@ -67,45 +65,6 @@ NetworkOptions parse_network_spec(const std::string& spec) {
   throw std::runtime_error(
       "unknown network model '" + spec +
       "' (expected sync, delay:uniform, delay:weighted, or delay:heavytail)");
-}
-
-namespace {
-
-/// Whole-string numeric parse; returns false on empty/trailing garbage.
-bool parse_double(const std::string& text, double* value) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  *value = std::strtod(text.c_str(), &end);
-  return errno == 0 && end == text.c_str() + text.size();
-}
-
-bool parse_i64(const std::string& text, std::int64_t* value) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  *value = std::strtoll(text.c_str(), &end, 10);
-  return errno == 0 && end == text.c_str() + text.size();
-}
-
-}  // namespace
-
-double parse_unit_interval(const char* flag, const std::string& text) {
-  double value = 0.0;
-  if (!parse_double(text, &value) || !(value >= 0.0) || !(value <= 1.0))
-    throw std::runtime_error(std::string(flag) +
-                             ": expected a probability in [0, 1], got '" +
-                             text + "'");
-  return value;
-}
-
-std::int64_t parse_positive_ticks(const char* flag, const std::string& text) {
-  std::int64_t value = 0;
-  if (!parse_i64(text, &value) || value < 1)
-    throw std::runtime_error(std::string(flag) +
-                             ": expected an integer >= 1, got '" + text +
-                             "'");
-  return value;
 }
 
 void validate_network_options(const NetworkOptions& options) {

@@ -88,13 +88,7 @@ std::string network_spec_name(const NetworkOptions& options);
 /// default. Throws std::runtime_error naming the valid specs otherwise.
 NetworkOptions parse_network_spec(const std::string& spec);
 
-/// Strict CLI knob parsing: the whole text must parse and land in range, or
-/// a std::runtime_error naming `flag` is thrown. parse_unit_interval
-/// accepts [0, 1]; parse_positive_ticks accepts integers >= 1.
-double parse_unit_interval(const char* flag, const std::string& text);
-std::int64_t parse_positive_ticks(const char* flag, const std::string& text);
-
-/// Validates knob ranges (same rules as the parsers); throws
+/// Validates knob ranges (probabilities in [0, 1], ticks >= 1); throws
 /// std::runtime_error on the first violation. run_local calls this, so a
 /// malformed NetworkOptions fails fast instead of mid-run.
 void validate_network_options(const NetworkOptions& options);

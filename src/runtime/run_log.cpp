@@ -42,27 +42,8 @@ bool parse_entry(const std::string& line, RunLogEntry& entry) {
     entry.cells_per_second = root.at("cells_per_second").as_double();
     entry.rounds = parse_percentiles_json(root.at("rounds"));
     entry.stats = parse_stat_percentiles_json(root);
-    if (const json::Value* sup = root.find("supervision")) {
-      entry.supervision_shards =
-          static_cast<int>(sup->at("shards").as_i64());
-      entry.supervision_attempts =
-          static_cast<int>(sup->at("attempts").as_i64());
-      entry.supervision_retries =
-          static_cast<int>(sup->at("retries").as_i64());
-      entry.supervision_requeues =
-          static_cast<int>(sup->at("requeues").as_i64());
-      entry.supervision_stragglers_respawned =
-          static_cast<int>(sup->at("stragglers_respawned").as_i64());
-      entry.supervision_shards_from_journal =
-          static_cast<int>(sup->at("shards_from_journal").as_i64());
-      entry.supervision_shards_failed =
-          static_cast<int>(sup->at("shards_failed").as_i64());
-      if (const json::Value* killed = sup->find("attempts_killed"))
-        entry.supervision_attempts_killed =
-            static_cast<int>(killed->as_i64());
-      entry.supervision_attempt_seconds =
-          parse_percentiles_json(sup->at("attempt_seconds"));
-    }
+    if (const json::Value* sup = root.find("supervision"))
+      entry.supervision = parse_supervisor_counters_json(*sup);
   } catch (...) {
     return false;
   }
@@ -135,17 +116,8 @@ RunLogEntry make_run_log_entry(const CampaignResult& result) {
   entry.rounds = result.rounds;
   entry.stats = result.stats;
   if (result.supervision.enabled) {
-    entry.supervision_shards = result.supervision.shards;
-    entry.supervision_attempts = result.supervision.attempts;
-    entry.supervision_retries = result.supervision.retries;
-    entry.supervision_requeues = result.supervision.requeues;
-    entry.supervision_stragglers_respawned =
-        result.supervision.stragglers_respawned;
-    entry.supervision_shards_from_journal =
-        result.supervision.shards_from_journal;
-    entry.supervision_shards_failed = result.supervision.shards_failed;
-    entry.supervision_attempts_killed = result.supervision.attempts_killed;
-    entry.supervision_attempt_seconds = result.supervision.attempt_seconds;
+    entry.supervision = result.supervision;
+    entry.supervision.rows.clear();
   }
   return entry;
 }
@@ -164,20 +136,9 @@ void append_run_log(const std::string& path, const CampaignResult& result) {
   write_stat_percentiles_json(out, entry.stats, false);
   // Supervision block only for supervised campaigns — entries from plain
   // runs stay byte-for-byte in the pre-supervisor format.
-  if (entry.supervision_shards > 0) {
-    out << ",\"supervision\":{\"shards\":" << entry.supervision_shards
-        << ",\"attempts\":" << entry.supervision_attempts
-        << ",\"retries\":" << entry.supervision_retries
-        << ",\"requeues\":" << entry.supervision_requeues
-        << ",\"stragglers_respawned\":"
-        << entry.supervision_stragglers_respawned
-        << ",\"shards_from_journal\":"
-        << entry.supervision_shards_from_journal
-        << ",\"shards_failed\":" << entry.supervision_shards_failed
-        << ",\"attempts_killed\":" << entry.supervision_attempts_killed
-        << ',';
-    write_percentiles_json(out, "attempt_seconds",
-                           entry.supervision_attempt_seconds);
+  if (entry.supervision.enabled) {
+    out << ",\"supervision\":{";
+    write_supervisor_counters_json(out, entry.supervision);
     out << '}';
   }
   out << "}\n";

@@ -29,22 +29,10 @@ struct RunLogEntry {
   /// The engine counters' percentile blocks (CampaignResult::stats); a
   /// block the line predates reads as zero.
   StatPercentiles stats;
-  /// Supervision telemetry (the PR 9 shard supervisor): process-level
-  /// retry/requeue history for supervised sharded campaigns. All zero when
-  /// the campaign ran unsupervised or the entry predates supervision (the
-  /// reader tolerates the block's absence).
-  int supervision_shards = 0;
-  int supervision_attempts = 0;
-  int supervision_retries = 0;
-  int supervision_requeues = 0;
-  int supervision_stragglers_respawned = 0;
-  int supervision_shards_from_journal = 0;
-  int supervision_shards_failed = 0;
-  /// Attempts the supervisor SIGKILLed (deadline overrun or superseded by
-  /// an accepted sibling); zero when the entry predates it.
-  int supervision_attempts_killed = 0;
-  /// Percentiles of per-shard total attempt wall-clock.
-  CampaignPercentiles supervision_attempt_seconds;
+  /// The supervision counters (CampaignResult::supervision without its
+  /// per-shard rows). enabled = false and all zero when the campaign ran
+  /// unsupervised or the entry predates supervision.
+  SupervisionSummary supervision;
 };
 
 /// FNV-1a over every cell's identifying fields, independent of outcomes.

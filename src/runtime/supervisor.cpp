@@ -324,6 +324,28 @@ double median(std::vector<double> values) {
 
 }  // namespace
 
+SupervisionSummary SupervisorReport::summary() const {
+  SupervisionSummary summary;
+  summary.enabled = true;
+  summary.shards = static_cast<int>(shards.size());
+  summary.attempts = attempts;
+  summary.retries = retries;
+  summary.requeues = requeues;
+  summary.stragglers_respawned = stragglers_respawned;
+  summary.shards_from_journal = shards_from_journal;
+  summary.shards_failed = static_cast<int>(failed_shards.size());
+  std::vector<double> attempt_seconds;
+  for (const ShardSupervision& shard : shards) {
+    for (const ShardAttemptRecord& record : shard.log)
+      if (record.killed) ++summary.attempts_killed;
+    if (!shard.from_journal)
+      attempt_seconds.push_back(shard.total_attempt_seconds);
+  }
+  summary.attempt_seconds = campaign_percentiles(std::move(attempt_seconds));
+  summary.rows = shards;
+  return summary;
+}
+
 std::string SupervisorReport::failure_summary() const {
   if (failed_shards.empty()) return "";
   std::string message = "supervision failed for " +

@@ -206,41 +206,6 @@ struct SupervisorOptions {
   int trace_pid = 1;
 };
 
-/// One launch of one shard, as the supervisor saw it end.
-struct ShardAttemptRecord {
-  int attempt = 0;
-  bool speculative = false;
-  double seconds = 0.0;
-  /// "accepted", "exited N", "killed by signal N", "timeout after Ns",
-  /// "invalid result: ...", "superseded", or "spawn failed: ...".
-  std::string outcome;
-  std::string stderr_path;
-  /// Launch/reap times in seconds since supervision began — the wall
-  /// placement of this attempt, not just its duration (end - start ==
-  /// seconds up to reap latency).
-  double start_seconds = 0.0;
-  double end_seconds = 0.0;
-  /// True when the supervisor SIGKILLed this attempt (deadline overrun or
-  /// superseded by an accepted sibling).
-  bool killed = false;
-};
-
-/// Per-shard supervision history.
-struct ShardSupervision {
-  int shard_index = 0;
-  bool completed = false;
-  /// True when the accepted result came from the checkpoint journal (no
-  /// process was launched at all).
-  bool from_journal = false;
-  int attempts = 0;
-  /// Requeues caused by a failed attempt (crash/exit/timeout/invalid).
-  int retries = 0;
-  /// Speculative duplicates launched while an attempt was still running.
-  int stragglers_respawned = 0;
-  double total_attempt_seconds = 0.0;
-  std::vector<ShardAttemptRecord> log;
-};
-
 struct SupervisorReport {
   /// Accepted results in shard-index order (failed shards absent) — feed
   /// straight into merge_shard_results / merge_shard_results_partial.
@@ -258,6 +223,10 @@ struct SupervisorReport {
   double elapsed_seconds = 0.0;
 
   bool all_completed() const { return failed_shards.empty(); }
+  /// The report as the campaign carries it: enabled, one row per shard,
+  /// attempts_killed counted over the attempt logs, attempt_seconds over
+  /// the shards that ran (journal-resumed shards launched nothing).
+  SupervisionSummary summary() const;
   /// One message naming every failed shard with its full attempt history
   /// (and a tail of each last attempt's stderr when available).
   std::string failure_summary() const;

@@ -33,6 +33,7 @@
 #include "src/runtime/run_log.h"
 #include "src/runtime/runner.h"
 #include "src/runtime/shard.h"
+#include "src/util/flags.h"
 #include "tests/test_support.h"
 
 namespace unilocal {

@@ -113,16 +113,16 @@ TEST_F(RunLogTest, SupervisionBlockRoundTripsAndIsOmittedWhenUnsupervised) {
   append_run_log(path_, supervised);
   const auto entries = read_run_log(path_);
   ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].supervision_shards, 0);
-  EXPECT_EQ(entries[0].supervision_attempts, 0);
-  EXPECT_EQ(entries[1].supervision_shards, 4);
-  EXPECT_EQ(entries[1].supervision_attempts, 7);
-  EXPECT_EQ(entries[1].supervision_retries, 2);
-  EXPECT_EQ(entries[1].supervision_requeues, 3);
-  EXPECT_EQ(entries[1].supervision_stragglers_respawned, 1);
-  EXPECT_EQ(entries[1].supervision_shards_from_journal, 2);
-  EXPECT_DOUBLE_EQ(entries[1].supervision_attempt_seconds.max, 4.0);
-  EXPECT_DOUBLE_EQ(entries[1].supervision_attempt_seconds.p50, 1.5);
+  EXPECT_EQ(entries[0].supervision.shards, 0);
+  EXPECT_EQ(entries[0].supervision.attempts, 0);
+  EXPECT_EQ(entries[1].supervision.shards, 4);
+  EXPECT_EQ(entries[1].supervision.attempts, 7);
+  EXPECT_EQ(entries[1].supervision.retries, 2);
+  EXPECT_EQ(entries[1].supervision.requeues, 3);
+  EXPECT_EQ(entries[1].supervision.stragglers_respawned, 1);
+  EXPECT_EQ(entries[1].supervision.shards_from_journal, 2);
+  EXPECT_DOUBLE_EQ(entries[1].supervision.attempt_seconds.max, 4.0);
+  EXPECT_DOUBLE_EQ(entries[1].supervision.attempt_seconds.p50, 1.5);
 }
 
 TEST_F(RunLogTest, CompareFindsTheLatestMatchingBaseline) {

@@ -12,6 +12,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -521,19 +522,9 @@ TEST(SupervisionTelemetry, InJsonButNeverInCanonicalAndCsvListsShards) {
       }));
   ASSERT_TRUE(report.all_completed());
   CampaignResult merged = merge_shard_results(harness.plan, report.results);
-  merged.supervision.enabled = true;
-  merged.supervision.shards = 2;
-  merged.supervision.attempts = report.attempts;
-  merged.supervision.retries = report.retries;
-  for (const ShardSupervision& sup : report.shards) {
-    ShardSupervisionRow row;
-    row.shard_index = sup.shard_index;
-    row.completed = sup.completed;
-    row.attempts = sup.attempts;
-    row.retries = sup.retries;
-    row.total_attempt_seconds = sup.total_attempt_seconds;
-    merged.supervision.rows.push_back(row);
-  }
+  merged.supervision = report.summary();
+  EXPECT_EQ(merged.supervision.shards, 2);
+  EXPECT_EQ(merged.supervision.rows.size(), 2u);
 
   std::ostringstream full;
   write_campaign_json(full, merged);
@@ -547,11 +538,46 @@ TEST(SupervisionTelemetry, InJsonButNeverInCanonicalAndCsvListsShards) {
             std::string::npos);
 
   std::ostringstream csv;
-  write_supervision_csv(csv, merged.supervision);
+  write_supervised_shards_csv(csv, merged.supervision);
   EXPECT_NE(csv.str().find("shard,completed,from_journal,attempts,retries"),
             std::string::npos);
   EXPECT_NE(csv.str().find("\n0,1,0,2,1,"), std::string::npos) << csv.str();
   EXPECT_NE(csv.str().find("\n1,1,0,1,0,"), std::string::npos) << csv.str();
+}
+
+TEST(SupervisionTelemetry, RunLogReadsOlderSupervisionBlocks) {
+  // Lines written before the campaign JSON and the run log shared one
+  // counter writer: shards_failed before attempts_killed, and older still
+  // without attempts_killed.
+  const std::string path =
+      ::testing::TempDir() + "unilocal_supervised_run_log.jsonl";
+  {
+    const std::string head =
+        "{\"date\":\"2026-01-01T00:00:00Z\",\"grid_hash\":\"42\","
+        "\"workers\":1,\"cells\":2,\"solved\":2,\"valid\":2,\"failed\":0,"
+        "\"elapsed_seconds\":0.5,\"cells_per_second\":4,"
+        "\"rounds\":{\"p50\":3,\"p90\":3,\"p99\":4,\"max\":4},"
+        "\"supervision\":{\"shards\":3,\"attempts\":5,\"retries\":1,"
+        "\"requeues\":2,\"stragglers_respawned\":1,"
+        "\"shards_from_journal\":0,\"shards_failed\":0,";
+    const std::string tail =
+        "\"attempt_seconds\":{\"p50\":1,\"p90\":2,\"p99\":2,\"max\":2}}}\n";
+    std::ofstream out(path);
+    out << head << "\"attempts_killed\":2," << tail << head << tail;
+  }
+  const auto entries = read_run_log(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(entries.size(), 2u);
+  for (const RunLogEntry& entry : entries) {
+    EXPECT_TRUE(entry.supervision.enabled);
+    EXPECT_EQ(entry.supervision.shards, 3);
+    EXPECT_EQ(entry.supervision.attempts, 5);
+    EXPECT_EQ(entry.supervision.requeues, 2);
+    EXPECT_DOUBLE_EQ(entry.supervision.attempt_seconds.max, 2.0);
+    EXPECT_TRUE(entry.supervision.rows.empty());
+  }
+  EXPECT_EQ(entries[0].supervision.attempts_killed, 2);
+  EXPECT_EQ(entries[1].supervision.attempts_killed, 0);
 }
 
 }  // namespace
