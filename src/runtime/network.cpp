@@ -9,10 +9,6 @@ namespace unilocal {
 
 namespace {
 
-/// hist_ slot sentinel: the pulse for this round exists but has not been
-/// delivered yet (distinct from -1, a delivered silent pulse).
-constexpr std::int64_t kNotArrived = -2;
-
 /// A transmission lost this many consecutive times is abandoned — the
 /// receiver stalls and the run ends at the cutoff instead of spinning. At
 /// drop=0.05 abandonment has probability 0.05^64: never; it only bites at
@@ -159,19 +155,81 @@ std::int64_t SynchronousNetwork::arena_bytes() const {
   return bytes;
 }
 
-// --- DelayedNetwork --------------------------------------------------------
+// --- DeliveryQueue ---------------------------------------------------------
 
-namespace {
-
-/// Min-heap "pops later" predicate: strict total order (seq is unique), so
-/// the pop sequence never depends on the heap implementation.
-bool event_after(const DelayedNetwork::Event& a,
-                 const DelayedNetwork::Event& b) {
-  return std::tie(a.time, a.edge, a.round, a.seq) >
-         std::tie(b.time, b.edge, b.round, b.seq);
+void DeliveryQueue::clear() {
+  for (auto& bucket : buckets_) bucket.clear();
+  occupied_ = 0;
+  last_ = -1;
+  size_ = 0;
+  seq_ = 0;
 }
 
-}  // namespace
+std::size_t DeliveryQueue::bucket_of(std::int64_t time) const {
+  // Times shifted by one so the "nothing popped yet" base of -1 is 0: the
+  // highest bit in which a time differs from the base picks the bucket.
+  const auto key = [](std::int64_t t) {
+    return static_cast<std::uint64_t>(t) + 1;
+  };
+  return static_cast<std::size_t>(std::bit_width(key(time) ^ key(last_)));
+}
+
+void DeliveryQueue::place(const DeliveryEvent& event) {
+  const std::size_t b = bucket_of(event.time);
+  const std::uint64_t bit = std::uint64_t{1} << b;
+  if ((occupied_ & bit) == 0 || event.time < min_time_[b])
+    min_time_[b] = event.time;
+  occupied_ |= bit;
+  buckets_[b].push_back(event);
+}
+
+void DeliveryQueue::push(DeliveryEvent event) {
+  if (event.time <= last_)
+    throw std::logic_error(
+        "DeliveryQueue: push at time " + std::to_string(event.time) +
+        " is not later than the last pop at " + std::to_string(last_));
+  event.seq = seq_++;
+  place(event);
+  ++size_;
+}
+
+void DeliveryQueue::refill() {
+  // Bucket 0 is empty, so the lowest occupied bucket holds the earliest
+  // events; its minimum becomes the new base and every event in it moves
+  // to a lower bucket, the ones at the base itself to bucket 0.
+  const std::size_t b = static_cast<std::size_t>(std::countr_zero(occupied_));
+  last_ = min_time_[b];
+  occupied_ &= ~(std::uint64_t{1} << b);
+  std::vector<DeliveryEvent>& source = buckets_[b];
+  for (const DeliveryEvent& event : source) place(event);
+  source.clear();
+  // Descending, so the least (edge, round, seq) pops off the back.
+  std::sort(buckets_[0].begin(), buckets_[0].end(),
+            [](const DeliveryEvent& a, const DeliveryEvent& b) {
+              return std::tie(a.edge, a.round, a.seq) >
+                     std::tie(b.edge, b.round, b.seq);
+            });
+}
+
+DeliveryEvent DeliveryQueue::pop() {
+  if ((occupied_ & 1) == 0) refill();
+  std::vector<DeliveryEvent>& front = buckets_[0];
+  const DeliveryEvent event = front.back();
+  front.pop_back();
+  if (front.empty()) occupied_ &= ~std::uint64_t{1};
+  --size_;
+  return event;
+}
+
+std::int64_t DeliveryQueue::capacity_bytes() const {
+  std::int64_t bytes = 0;
+  for (const auto& bucket : buckets_)
+    bytes += static_cast<std::int64_t>(bucket.capacity() *
+                                       sizeof(DeliveryEvent));
+  return bytes;
+}
+
+// --- DelayedNetwork --------------------------------------------------------
 
 void DelayedNetwork::begin_run(const CsrGraph& csr, std::uint64_t seed,
                                const NetworkOptions& options) {
@@ -207,13 +265,12 @@ void DelayedNetwork::begin_run(const CsrGraph& csr, std::uint64_t seed,
     }
   }
 
-  hist_.resize(slots);
-  for (auto& h : hist_) h.clear();
-  prefix_.assign(slots, 0);
-  final_round_.assign(slots, -1);
+  next_round_.assign(nn, 0);
+  reading_.resize(nn);
+  for (std::size_t v = 0; v < nn; ++v) reading_[v] = crashed_[v] == 0;
+  edges_.assign(slots, EdgeState{});
   words_.clear();
-  heap_.clear();
-  seq_ = 0;
+  queue_.clear();
 
   NodeId max_degree = 0;
   for (NodeId v = 0; v < csr.num_nodes(); ++v)
@@ -248,12 +305,6 @@ std::int64_t DelayedNetwork::draw_delay(std::int64_t edge) {
   return 1;
 }
 
-void DelayedNetwork::push_event(Event event) {
-  event.seq = seq_++;
-  heap_.push_back(event);
-  std::push_heap(heap_.begin(), heap_.end(), event_after);
-}
-
 void DelayedNetwork::transmit(std::int64_t edge, NodeId receiver,
                               std::int64_t round, std::int64_t now,
                               Span payload, bool final_round) {
@@ -276,21 +327,20 @@ void DelayedNetwork::transmit(std::int64_t edge, NodeId receiver,
       delay += retransmit_after_ + draw_delay(edge);
     }
   }
-  Event event;
+  DeliveryEvent event;
   event.time = now + delay;
   event.edge = edge;
   event.round = round;
-  event.offset = payload.offset;
-  event.words = payload.words;
+  event.payload = payload;
   event.sent_at = now;
   event.receiver = receiver;
   event.final_round = final_round;
-  push_event(event);
+  queue_.push(event);
   if (opts_.duplicate > 0.0 &&
       edge_rngs_[static_cast<std::size_t>(edge)].next_bool(opts_.duplicate)) {
     ++duplicated_;
     event.time += draw_delay(edge);  // the copy lands strictly later
-    push_event(event);
+    queue_.push(event);
   }
 }
 
@@ -327,68 +377,61 @@ DelayedNetwork::FlushDelta DelayedNetwork::flush_node(NodeId v,
              sender_finished);
   }
   outbox_words_.clear();
+  next_round_[static_cast<std::size_t>(v)] = round + 1;
+  if (sender_finished) reading_[static_cast<std::size_t>(v)] = 0;
   return delta;
 }
 
 bool DelayedNetwork::pop_delivery(Delivery* out) {
-  if (heap_.empty()) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), event_after);
-  const Event event = heap_.back();
-  heap_.pop_back();
-
-  const std::size_t e = static_cast<std::size_t>(event.edge);
+  if (queue_.empty()) return false;
+  const DeliveryEvent event = queue_.pop();
+  EdgeState& state = edges_[static_cast<std::size_t>(event.edge)];
   out->time = event.time;
   out->edge = event.edge;
   out->receiver = event.receiver;
   out->round = event.round;
-  out->payload = event.words >= 0;
-  out->prefix_before = prefix_[e];
+  out->payload = event.payload.words >= 0;
+  out->prefix_before = state.prefix;
   out->saturated_before = saturated(event.edge);
   max_skew_ = std::max(max_skew_, event.time - event.sent_at - 1);
-
-  auto& h = hist_[e];
-  if (static_cast<std::int64_t>(h.size()) <= event.round)
-    h.resize(static_cast<std::size_t>(event.round) + 1,
-             Span{0, kNotArrived});
-  Span& slot = h[static_cast<std::size_t>(event.round)];
-  if (slot.words == kNotArrived) {
-    slot.offset = event.offset;
-    slot.words = event.words;
-    if (event.final_round) final_round_[e] = event.round;
-    while (prefix_[e] < static_cast<std::int64_t>(h.size()) &&
-           h[static_cast<std::size_t>(prefix_[e])].words != kNotArrived)
-      ++prefix_[e];
-  }
-  // else: the duplicate of an already-delivered pulse — ignored.
-
-  out->prefix_after = prefix_[e];
+  if (reading_[static_cast<std::size_t>(event.receiver)] != 0)
+    land(state, event);
+  out->prefix_after = state.prefix;
   out->saturated_after = saturated(event.edge);
   return true;
 }
 
-std::span<const std::int64_t> DelayedNetwork::recv(std::int64_t edge,
-                                                   std::int64_t round,
-                                                   bool* present) const {
-  const auto& h = hist_[static_cast<std::size_t>(edge)];
-  if (round < 0 || round >= static_cast<std::int64_t>(h.size())) {
-    *present = false;  // never pulsed: the sender finished earlier
-    return {};
-  }
-  const Span s = h[static_cast<std::size_t>(round)];
-  if (s.words < 0) {
-    *present = false;  // silent pulse (or, defensively, not yet arrived)
-    return {};
-  }
-  *present = true;
-  return {words_.data() + s.offset, static_cast<std::size_t>(s.words)};
+void DelayedNetwork::land(EdgeState& state, const DeliveryEvent& event) {
+  const std::int64_t round = event.round;
+  if (round < state.prefix) return;  // a duplicate of a delivered pulse
+  const std::int64_t oldest =
+      next_round_[static_cast<std::size_t>(event.receiver)] - 1;
+  if (round < oldest || round >= oldest + kRoundWindow)
+    throw std::logic_error(
+        "DelayedNetwork: round " + std::to_string(round) + " on edge " +
+        std::to_string(event.edge) + " is outside receiver " +
+        std::to_string(event.receiver) + "'s window [" +
+        std::to_string(oldest) + ", " +
+        std::to_string(oldest + kRoundWindow) + ")");
+  Slot& slot = state.slot(round);
+  if (slot.round == round) return;  // a duplicate of an early arrival
+  if (slot.round >= state.prefix)
+    throw std::logic_error(
+        "DelayedNetwork: round " + std::to_string(round) + " on edge " +
+        std::to_string(event.edge) + " would overwrite arrived round " +
+        std::to_string(slot.round) + " at or above the prefix " +
+        std::to_string(state.prefix));
+  slot.round = round;
+  slot.payload = event.payload;
+  if (event.final_round) state.final_round = round;
+  while (state.slot(state.prefix).round == state.prefix) ++state.prefix;
 }
 
 std::int64_t DelayedNetwork::arena_bytes() const {
   std::int64_t bytes = 0;
   bytes += static_cast<std::int64_t>(words_.capacity()) * 8;
-  for (const auto& h : hist_)
-    bytes += static_cast<std::int64_t>(h.capacity() * sizeof(Span));
-  bytes += static_cast<std::int64_t>(heap_.capacity() * sizeof(Event));
+  bytes += static_cast<std::int64_t>(edges_.capacity() * sizeof(EdgeState));
+  bytes += queue_.capacity_bytes();
   bytes += static_cast<std::int64_t>(edge_rngs_.capacity() * sizeof(Rng));
   bytes += static_cast<std::int64_t>(edge_base_.capacity()) * 8;
   bytes += static_cast<std::int64_t>(outbox_words_.capacity()) * 8;

@@ -23,6 +23,8 @@
 // the `--network=` / fault-knob CLI flags and the manifest round trip.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -204,6 +206,77 @@ class SynchronousNetwork {
   std::int64_t dirty_cleared_ = 0;
 };
 
+/// One scheduled pulse delivery on a directed edge.
+struct DeliveryEvent {
+  std::int64_t time = 0;
+  std::int64_t edge = 0;
+  std::int64_t round = 0;  // sender-local round of the pulse
+  Span payload;            // into the network's word arena; words < 0 = silent
+  std::int64_t sent_at = 0;
+  std::uint64_t seq = 0;  // push order: the last tie-breaker
+  NodeId receiver = 0;
+  bool final_round = false;
+};
+
+/// The delayed network's event queue: pops DeliveryEvents in (time, edge,
+/// round, seq) order, where seq is push order. It is a radix heap keyed on
+/// the integer time, which is sound because the queue is monotone — every
+/// push lands strictly later than the last pop. The delayed network keeps
+/// that promise: every latency is >= 1 tick, and the engine never steps a
+/// node ahead of a pending delivery.
+///
+/// Bucket b >= 1 holds the events whose time first differs from the last
+/// popped time in bit b-1, so every event in bucket b is earlier than every
+/// event in bucket b+1. Bucket 0 holds the events at exactly the last popped
+/// time. When it runs dry, pop() redistributes the lowest non-empty bucket
+/// around that bucket's earliest time, and sorts the new bucket 0 once by
+/// (edge, round, seq). next_time() only reads: the base moves in pop() alone,
+/// so a push earlier than a peeked time (but later than the last pop) stays
+/// legal and pops first.
+class DeliveryQueue {
+ public:
+  /// Empties the queue and restarts push order; keeps bucket capacity.
+  void clear();
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  /// Earliest pending time. The queue must not be empty.
+  std::int64_t next_time() const {
+    return min_time_[static_cast<std::size_t>(std::countr_zero(occupied_))];
+  }
+  /// Queues `event`, stamping its seq. Throws std::logic_error unless
+  /// event.time is later than the last pop (before any pop: not negative).
+  void push(DeliveryEvent event);
+  /// Removes and returns the least event. The queue must not be empty.
+  DeliveryEvent pop();
+  /// Capacity held by the buckets.
+  std::int64_t capacity_bytes() const;
+
+ private:
+  static constexpr int kBuckets = 64;
+  std::size_t bucket_of(std::int64_t time) const;
+  void place(const DeliveryEvent& event);
+  void refill();
+
+  std::array<std::vector<DeliveryEvent>, kBuckets> buckets_;
+  std::array<std::int64_t, kBuckets> min_time_{};  // per occupied bucket
+  std::uint64_t occupied_ = 0;  // bit b set = buckets_[b] is not empty
+  std::int64_t last_ = -1;      // time of the last pop (-1 before the first)
+  std::size_t size_ = 0;
+  std::uint64_t seq_ = 0;
+};
+
+/// How many rounds of one in-edge a receiver can still need. Take an
+/// unfinished receiver u whose next local round is L. Its step L reads round
+/// L-1 of every in-edge, and its step L+1 reads round L; every older round
+/// was read already. Nothing newer can be in flight: a sender w cannot start
+/// round L+1 until u's round-L pulse has reached it, and u sends that pulse
+/// only when it steps round L. And every round below L-1 is in the edge's
+/// contiguous prefix, because u's step L-1 waited for it. So each pulse u
+/// can still receive and has not read is round L-1 or L, and two slots
+/// indexed by round mod 2 hold them all.
+inline constexpr std::int64_t kRoundWindow = 2;
+static_assert(std::has_single_bit(static_cast<std::uint64_t>(kRoundWindow)));
+
 /// The asynchronous delivery layer: a seeded deterministic event queue.
 ///
 /// Every (sender, local round, port) transmission is one "pulse" — silence
@@ -211,16 +284,18 @@ class SynchronousNetwork {
 /// traffic IS the signal that the neighbour performed round r (paper,
 /// "Synchronicity and time complexity"). Each pulse gets a latency from the
 /// owning edge's private stream, may be lost (retransmitted after a
-/// timeout) or duplicated, and lands in a per-edge delivered history; the
-/// receiver's contiguous delivered prefix generalizes the synchronizer's
-/// dependency-lag counters from round stamps to delivery timestamps.
+/// timeout) or duplicated, and lands in its edge's window of the last
+/// kRoundWindow rounds; the receiver's contiguous delivered prefix
+/// generalizes the synchronizer's dependency-lag counters from round stamps
+/// to delivery timestamps. Deliveries to a finished or crashed receiver are
+/// never read, so they skip the window (they still count toward max_skew).
 ///
 /// Determinism contract: all draws happen at SEND time in sender-schedule
 /// order from per-edge streams split off a network-tagged base seed (never
 /// the per-node algorithm streams), and the event queue breaks timestamp
 /// ties by (edge, round, push sequence) — so the delivery order is a pure
 /// function of (topology, seed, options), independent of engine thread
-/// count, shard count, and heap implementation.
+/// count, shard count, and queue implementation.
 class DelayedNetwork {
  public:
   /// One delivered pulse, popped in deterministic timestamp order.
@@ -243,22 +318,9 @@ class DelayedNetwork {
     std::int64_t max_words = 0;
   };
 
-  /// One scheduled delivery (public for the file-local heap comparator).
-  struct Event {
-    std::int64_t time = 0;
-    std::int64_t edge = 0;
-    std::int64_t round = 0;
-    std::int64_t offset = 0;  // into words_; meaningful when words >= 0
-    std::int64_t words = -1;  // -1 = silent pulse
-    std::int64_t sent_at = 0;
-    std::uint64_t seq = 0;  // push order: the deterministic tie-breaker
-    NodeId receiver = 0;
-    bool final_round = false;
-  };
-
   /// Per-run preparation: derives edge/fault streams from `seed`, draws the
-  /// crash/late-joiner sets, and clears the delivered histories. Capacity
-  /// is kept across runs (workspace reuse).
+  /// crash/late-joiner sets, and clears the edge windows and the queue.
+  /// Capacity is kept across runs (workspace reuse).
   void begin_run(const CsrGraph& csr, std::uint64_t seed,
                  const NetworkOptions& options);
 
@@ -272,54 +334,93 @@ class DelayedNetwork {
 
   /// Sender side. stage() buffers the stepping node's outgoing message for
   /// one of its ports (a resend overwrites: last write wins, as in the
-  /// synchronous arena); flush_node() — called once after the step — draws
-  /// latency/fault decisions for every port's pulse, silent ports included,
-  /// and schedules the deliveries. sender_finished marks the pulses as the
-  /// sender's final round so receivers saturate instead of waiting forever.
+  /// synchronous arena); flush_node() — called once after every step, with
+  /// the round the step performed — draws latency/fault decisions for every
+  /// port's pulse, silent ports included, and schedules the deliveries.
+  /// sender_finished marks the pulses as the sender's final round so
+  /// receivers saturate instead of waiting forever, and stops the sender's
+  /// own in-edges from landing anything further.
   void stage(NodeId port, const std::int64_t* data, std::size_t words);
   FlushDelta flush_node(NodeId v, std::int64_t round, std::int64_t now,
                         bool sender_finished);
 
   /// Earliest pending delivery timestamp; false when the queue is empty
-  /// (either done or stalled on undeliverable dependencies).
+  /// (either done or stalled on undeliverable dependencies). Only peeks: a
+  /// step that runs before that time may still schedule earlier deliveries.
   bool next_delivery_time(std::int64_t* time) const {
-    if (heap_.empty()) return false;
-    *time = heap_.front().time;
+    if (queue_.empty()) return false;
+    *time = queue_.next_time();
     return true;
   }
-  /// Pops the next delivery, lands it in the edge history, and advances the
-  /// receiver's contiguous prefix. A duplicate of an already-delivered
-  /// pulse is a no-op (prefix_before == prefix_after).
+  /// Pops the next delivery, lands it in the edge window of a receiver that
+  /// still reads, and advances the edge's contiguous prefix. A duplicate of
+  /// an already-delivered pulse is a no-op (prefix_before == prefix_after).
+  /// Throws std::logic_error if a pulse for a reading receiver falls
+  /// outside its window or would overwrite a pulse at or above the prefix.
   bool pop_delivery(Delivery* out);
 
   std::int64_t prefix(std::int64_t edge) const {
-    return prefix_[static_cast<std::size_t>(edge)];
+    return edges_[static_cast<std::size_t>(edge)].prefix;
   }
   /// Sender finished and every round it ever pulsed has been delivered.
   bool saturated(std::int64_t edge) const {
-    const std::size_t e = static_cast<std::size_t>(edge);
-    return final_round_[e] >= 0 && prefix_[e] > final_round_[e];
+    const EdgeState& state = edges_[static_cast<std::size_t>(edge)];
+    return state.final_round >= 0 && state.prefix > state.final_round;
   }
 
-  /// What `edge` delivered for the sender's local round `round`; absent for
-  /// rounds never pulsed (sender finished earlier) or not yet delivered.
-  /// The span stays valid for a whole step: the payload arena only grows in
-  /// flush_node, which runs between steps.
+  /// What `edge` delivered for the sender's local round `round`, which must
+  /// be inside the receiver's window; absent for rounds never pulsed (the
+  /// sender finished earlier) or silent. The span stays valid for a whole
+  /// step: the payload arena only grows in flush_node, which runs between
+  /// steps.
   std::span<const std::int64_t> recv(std::int64_t edge, std::int64_t round,
-                                    bool* present) const;
+                                     bool* present) const {
+    const Slot& slot = edges_[static_cast<std::size_t>(edge)].slot(round);
+    if (round < 0 || slot.round != round || slot.payload.words < 0) {
+      *present = false;
+      return {};
+    }
+    *present = true;
+    return {words_.data() + slot.payload.offset,
+            static_cast<std::size_t>(slot.payload.words)};
+  }
 
   std::int64_t dropped() const { return dropped_; }
   std::int64_t duplicated() const { return duplicated_; }
   /// Max over delivered pulses of (arrival - send - 1): the worst latency
   /// in excess of the synchronous network's exactly-one-tick delivery.
   std::int64_t max_skew() const { return max_skew_; }
+  /// Capacity held by the payload arena, the edge windows, the queue, the
+  /// edge streams and the outbox.
   std::int64_t arena_bytes() const;
 
  private:
+  /// A delivered pulse of one round (round < 0: empty).
+  struct Slot {
+    std::int64_t round = -1;
+    Span payload;
+  };
+  /// Receiver-side state of one directed edge: the contiguous delivered
+  /// prefix (rounds 0..prefix-1 have all landed), the sender's last round
+  /// once its final pulse landed (-1 before), and the window.
+  struct EdgeState {
+    std::int64_t prefix = 0;
+    std::int64_t final_round = -1;
+    std::array<Slot, kRoundWindow> slots;
+
+    /// The slot `round` maps to (it holds `round` only if its tag says so).
+    const Slot& slot(std::int64_t round) const {
+      return slots[static_cast<std::size_t>(round & (kRoundWindow - 1))];
+    }
+    Slot& slot(std::int64_t round) {
+      return slots[static_cast<std::size_t>(round & (kRoundWindow - 1))];
+    }
+  };
+
   std::int64_t draw_delay(std::int64_t edge);
   void transmit(std::int64_t edge, NodeId receiver, std::int64_t round,
                 std::int64_t now, Span payload, bool final_round);
-  void push_event(Event event);
+  void land(EdgeState& state, const DeliveryEvent& event);
 
   const CsrGraph* csr_ = nullptr;
   NetworkOptions opts_;
@@ -330,19 +431,16 @@ class DelayedNetwork {
   std::vector<char> crashed_;
   std::vector<std::int64_t> wake_extra_;
 
-  // Delivered history per edge: hist_[e][r] = the round-r pulse, words
-  // kNotArrived until delivery, -1 for a delivered silent pulse, >= 0 a
-  // span into words_. prefix_[e] = contiguous delivered rounds;
-  // final_round_[e] = the sender's last round once a final pulse landed.
-  std::vector<std::vector<Span>> hist_;
-  std::vector<std::int64_t> prefix_;
-  std::vector<std::int64_t> final_round_;
+  // Per receiver: its next local round (the window guard's reference) and
+  // whether it still reads (neither crashed nor finished).
+  std::vector<std::int64_t> next_round_;
+  std::vector<char> reading_;
+
+  std::vector<EdgeState> edges_;
+  // Payload words of every pulse sent this run (grow-only).
   std::vector<std::int64_t> words_;
 
-  // Min-heap over (time, edge, round, seq) via std::push_heap/pop_heap —
-  // the strict total order keeps pops identical across stdlib heaps.
-  std::vector<Event> heap_;
-  std::uint64_t seq_ = 0;
+  DeliveryQueue queue_;
 
   // Per-step staging (outbox): spans per port into outbox_words_, flushed
   // and cleared by flush_node.

@@ -10,19 +10,23 @@
 //   * degenerate faults: drop=1.0 and crashes stall the synchronizer
 //     cleanly (queues drain, survivors finalized as cut off) instead of
 //     spinning;
-//   * the kernel tier works unchanged through the delayed layer.
+//   * the kernel tier works unchanged through the delayed layer;
+//   * the event queue pops in (time, edge, round, seq) order under any
+//     monotone schedule, and the per-edge window rejects a pulse the
+//     engine could not have sent.
 //
 // Campaign/shard-level determinism of delayed grids is covered in
 // tests/shard_test.cpp-style form at the bottom of this file.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
-
-#include <sstream>
 
 #include "src/algo/greedy_mis.h"
 #include "src/algo/luby.h"
@@ -319,6 +323,151 @@ TEST(DelayedNetwork, KernelTierBitIdenticalThroughDelayedLayer) {
     EXPECT_EQ(with_kernel.stats.vtable_steps, 0) << named.name;
     EXPECT_EQ(without.stats.kernel_steps, 0) << named.name;
   }
+}
+
+// --- the delivery queue and the edge window ---------------------------------
+
+using EventKey =
+    std::tuple<std::int64_t, std::int64_t, std::int64_t, std::uint64_t>;
+
+EventKey key_of(const DeliveryEvent& event) {
+  return {event.time, event.edge, event.round, event.seq};
+}
+
+// Random monotone schedules, shaped like the delayed network's: pushes land
+// 1 to 2^17 ticks after an engine clock that sits anywhere between the last
+// pop and the next pending time, some with retransmit offsets, some
+// duplicated later or at the very same (time, edge, round), with few edges
+// and rounds so that times tie across both. Every pop must be the least
+// pending event under (time, edge, round, seq): the first of the pending
+// set, which std::set keeps sorted in that order.
+TEST(DeliveryQueue, RandomMonotoneSchedulesPopInTimeEdgeRoundSeqOrder) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 30; ++trial) {
+    DeliveryQueue queue;
+    std::set<EventKey> pending;
+    std::uint64_t seq = 0;
+    std::int64_t last_pop = 0;
+    const auto push = [&](const DeliveryEvent& event) {
+      queue.push(event);
+      pending.emplace(event.time, event.edge, event.round, seq++);
+    };
+    const auto pop_and_check = [&] {
+      ASSERT_EQ(queue.size(), pending.size());
+      ASSERT_EQ(queue.next_time(), std::get<0>(*pending.begin()));
+      const DeliveryEvent event = queue.pop();
+      ASSERT_EQ(key_of(event), *pending.begin());
+      pending.erase(pending.begin());
+      last_pop = event.time;
+    };
+    for (int op = 0; op < 5000; ++op) {
+      if (!pending.empty() && rng.next_bool(0.45)) {
+        pop_and_check();
+        continue;
+      }
+      const std::int64_t now =
+          queue.empty() ? last_pop : rng.next_in(last_pop, queue.next_time());
+      const int level = rng.next_bool(0.5)
+                            ? static_cast<int>(rng.next_below(3))
+                            : static_cast<int>(rng.next_below(18));
+      std::int64_t delay =
+          1 + static_cast<std::int64_t>(rng.next_below(std::uint64_t{1}
+                                                       << level));
+      if (rng.next_bool(0.2)) delay += 16 * rng.next_in(1, 4);  // retransmit
+      DeliveryEvent event;
+      event.time = now + delay;
+      event.edge = rng.next_in(0, 5);
+      event.round = rng.next_in(0, 3);
+      push(event);
+      if (rng.next_bool(0.1)) push(event);  // the same (time, edge, round)
+      if (rng.next_bool(0.2)) {
+        event.time += rng.next_in(1, 8);  // a duplicate lands later
+        push(event);
+      }
+    }
+    while (!pending.empty()) pop_and_check();
+    EXPECT_TRUE(queue.empty());
+  }
+}
+
+// next_time() only peeks. The engine peeks at the next delivery, may then
+// step a node before it, and that step's pulses can land earlier than the
+// peeked time; they must pop first.
+TEST(DeliveryQueue, PushEarlierThanAPeekedTimePopsFirst) {
+  DeliveryQueue queue;
+  DeliveryEvent event;
+  event.time = 100;
+  queue.push(event);
+  EXPECT_EQ(queue.next_time(), 100);
+  event.time = 40;
+  queue.push(event);
+  EXPECT_EQ(queue.next_time(), 40);
+  EXPECT_EQ(queue.pop().time, 40);
+  EXPECT_EQ(queue.next_time(), 100);
+  event.time = 41;  // later than the last pop, earlier than the peek
+  queue.push(event);
+  EXPECT_EQ(queue.pop().time, 41);
+  EXPECT_EQ(queue.pop().time, 100);
+  EXPECT_TRUE(queue.empty());
+  // Not later than the last pop: the queue's monotonicity is broken.
+  event.time = 100;
+  EXPECT_THROW(queue.push(event), std::logic_error);
+  event.time = 99;
+  EXPECT_THROW(queue.push(event), std::logic_error);
+}
+
+void drain(DelayedNetwork& net, std::int64_t* now) {
+  DelayedNetwork::Delivery delivery;
+  while (net.pop_delivery(&delivery)) *now = delivery.time;
+}
+
+// Node 0 of a two-node path runs round 1 although node 1 never stepped —
+// the engine would hold it until node 1's round-0 pulse arrived. Round 1 is
+// outside node 1's window, and landing it must throw.
+TEST(DelayedNetwork, LiveReceiverWindowViolationThrows) {
+  const CsrGraph csr(path_graph(2));
+  DelayedNetwork net;
+  net.begin_run(csr, 5, delayed(DelayPreset::kUniform));
+  net.flush_node(0, 0, 0, false);
+  net.flush_node(0, 1, 1, false);
+  std::int64_t now = 0;
+  EXPECT_THROW(drain(net, &now), std::logic_error);
+}
+
+// A pulse that would overwrite an arrived round at or above the prefix
+// throws too. Node 1 gets round 1 before round 0, then runs ahead to round
+// 3, so round 3 maps onto round 1's slot while the prefix is still 0.
+TEST(DelayedNetwork, OverwritingAnArrivedRoundAboveThePrefixThrows) {
+  const CsrGraph csr(path_graph(2));
+  DelayedNetwork net;
+  net.begin_run(csr, 5, delayed(DelayPreset::kUniform));
+  std::int64_t now = 0;
+  net.flush_node(1, 0, now, false);
+  net.flush_node(0, 1, now, true);  // node 0 stops reading
+  drain(net, &now);
+  EXPECT_EQ(net.prefix(csr.in_edge_index(1, 0)), 0);
+  net.flush_node(1, 1, now, false);
+  net.flush_node(1, 2, now, false);
+  net.flush_node(0, 3, now, true);
+  EXPECT_THROW(drain(net, &now), std::logic_error);
+}
+
+// Deliveries to a finished receiver skip its window — whatever their round
+// — but still count toward the skew; the finished sender's final pulse
+// saturates the edge it sent on.
+TEST(DelayedNetwork, FinishedReceiversSkipTheWindow) {
+  const CsrGraph csr(path_graph(2));
+  DelayedNetwork net;
+  net.begin_run(csr, 5, delayed(DelayPreset::kHeavyTail));
+  std::int64_t now = 0;
+  net.flush_node(1, 0, now, true);
+  drain(net, &now);
+  for (std::int64_t round = 0; round < 6; ++round)
+    net.flush_node(0, round, now, false);
+  EXPECT_NO_THROW(drain(net, &now));
+  EXPECT_GT(net.max_skew(), 0);
+  EXPECT_EQ(net.prefix(csr.in_edge_index(1, 0)), 0);
+  EXPECT_TRUE(net.saturated(csr.in_edge_index(0, 0)));
 }
 
 // --- campaign / shard layer --------------------------------------------------
