@@ -296,6 +296,8 @@ struct RunningAttempt {
   bool killed = false;
   /// Trace-clock launch timestamp (0 when tracing is off) — the span's ts.
   std::int64_t trace_t0 = 0;
+  /// Trace tid of the attempt's span and instants (see attempt_lane).
+  int lane = 0;
 };
 
 struct PendingAttempt {
@@ -479,17 +481,30 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
     return n;
   };
 
-  // Lifecycle instants ("i" events) on the attempt's shard lane; a null
-  // recorder turns every call into one pointer test.
-  const auto trace_instant = [&options](const char* name, int shard,
-                                        int attempt) {
+  // Each shard has two trace lanes: tid shard+1, and tid
+  // num_shards+shard+1 for an attempt launched while a sibling still runs
+  // (a speculative duplicate), so sibling spans never overlap on one lane.
+  // At most two attempts of a shard run at once: speculation adds one
+  // duplicate only, and nothing relaunches while an attempt is in flight.
+  const auto attempt_lane = [&running, num_shards](int shard) {
+    const int primary = shard + 1;
+    for (const RunningAttempt& r : running)
+      if (r.shard == shard && r.lane == primary)
+        return static_cast<int>(num_shards) + primary;
+    return primary;
+  };
+
+  // Lifecycle instants ("i" events) on the attempt's lane; a null recorder
+  // turns every call into one pointer test.
+  const auto trace_instant = [&options](const char* name, int lane,
+                                        int shard, int attempt) {
     if (options.trace == nullptr) return;
     telemetry::TraceEvent event;
     event.name = name;
     event.phase = 'i';
     event.ts = options.trace->now();
     event.pid = options.trace_pid;
-    event.tid = shard + 1;
+    event.tid = lane;
     event.arg("shard", static_cast<std::int64_t>(shard));
     if (attempt > 0) event.arg("attempt", static_cast<std::int64_t>(attempt));
     options.trace->record(std::move(event));
@@ -516,7 +531,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
       event.ts = r.trace_t0;
       event.dur = options.trace->now() - r.trace_t0;
       event.pid = options.trace_pid;
-      event.tid = r.shard + 1;
+      event.tid = r.lane;
       event.arg("shard", static_cast<std::int64_t>(r.shard));
       event.arg("attempt", static_cast<std::int64_t>(r.attempt));
       event.arg("speculative", r.speculative);
@@ -552,8 +567,9 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
                         options.timeout_seconds_per_cost * shard_costs[slot];
     r.result_path = context.result_path;
     r.stderr_path = context.stderr_path;
+    r.lane = attempt_lane(shard);
     if (options.trace != nullptr) r.trace_t0 = options.trace->now();
-    trace_instant("launch", shard, attempt);
+    trace_instant("launch", r.lane, shard, attempt);
     r.pid = spawn_worker(command(context), context.stderr_path);
     if (r.pid < 0) {
       record_attempt(r, 0.0, "spawn failed: fork returned -1");
@@ -603,7 +619,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
               seconds_between(r.start, now) > r.timeout_seconds) {
             r.timed_out = true;
             r.killed = true;
-            trace_instant("sigkill", r.shard, r.attempt);
+            trace_instant("sigkill", r.lane, r.shard, r.attempt);
             kill(r.pid, SIGKILL);
           }
           ++i;
@@ -644,7 +660,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
             if (problem.empty()) {
               ok = true;
               outcome = "accepted";
-              trace_instant("accept", done.shard, done.attempt);
+              trace_instant("accept", done.lane, done.shard, done.attempt);
               completed[slot] = 1;
               accepted[slot] = std::move(result);
               report.shards[slot].completed = true;
@@ -668,7 +684,8 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
                   continue;
                 sibling.superseded = true;
                 sibling.killed = true;
-                trace_instant("sigkill", sibling.shard, sibling.attempt);
+                trace_instant("sigkill", sibling.lane, sibling.shard,
+                              sibling.attempt);
                 kill(sibling.pid, SIGKILL);
               }
             } else {
@@ -693,7 +710,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
         ++report.shards[slot].retries;
         ++report.retries;
         ++report.requeues;
-        trace_instant("retry", done.shard, done.attempt);
+        trace_instant("retry", done.lane, done.shard, done.attempt);
         const int retry = report.shards[slot].retries;
         const double delay =
             std::min(options.backoff_max_seconds,
@@ -725,7 +742,7 @@ SupervisorReport supervise_shards(const ShardPlan& plan,
           ++report.shards[slot].stragglers_respawned;
           ++report.stragglers_respawned;
           ++report.requeues;
-          trace_instant("speculate", r.shard, r.attempt);
+          trace_instant("speculate", r.lane, r.shard, r.attempt);
           pending.push_front({r.shard, true, now});
         }
       }

@@ -199,7 +199,10 @@ struct SupervisorOptions {
   /// Optional trace recorder: when set, every attempt becomes an "X" span
   /// on (trace_pid, tid = shard_index + 1) and lifecycle transitions
   /// (launch / sigkill / speculate / retry / accept / journal-skip) become
-  /// "i" instants. Null disables all span recording.
+  /// "i" instants on the same lane. An attempt launched while a sibling of
+  /// its shard still runs (a speculative duplicate) gets the shard's second
+  /// lane, tid = num_shards + shard_index + 1, so no two spans on one lane
+  /// partially overlap. Null disables all span recording.
   telemetry::TraceRecorder* trace = nullptr;
   /// pid lane the supervisor's spans live on (workers get their own lanes
   /// when the caller stitches their trace files via merge_process).

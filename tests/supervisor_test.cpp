@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -24,6 +25,7 @@
 #include "src/runtime/run_log.h"
 #include "src/runtime/shard.h"
 #include "src/runtime/supervisor.h"
+#include "src/runtime/telemetry.h"
 
 namespace unilocal {
 namespace {
@@ -479,11 +481,39 @@ TEST(Supervise, ResumesFromJournalWithoutLaunchingCompletedShards) {
             harness.single_process_canonical);
 }
 
+/// Every two "X" spans on one (pid, tid) lane nest or are disjoint, as
+/// telemetry_check requires.
+void expect_no_partial_overlap(
+    const std::vector<telemetry::TraceEvent>& events) {
+  std::map<std::pair<int, int>, std::vector<const telemetry::TraceEvent*>>
+      lanes;
+  for (const telemetry::TraceEvent& event : events)
+    if (event.phase == 'X') lanes[{event.pid, event.tid}].push_back(&event);
+  for (const auto& [lane, spans] : lanes)
+    for (const telemetry::TraceEvent* a : spans)
+      for (const telemetry::TraceEvent* b : spans) {
+        if (a == b) continue;
+        const bool disjoint =
+            a->ts + a->dur <= b->ts || b->ts + b->dur <= a->ts;
+        const bool b_inside_a =
+            a->ts <= b->ts && b->ts + b->dur <= a->ts + a->dur;
+        const bool a_inside_b =
+            b->ts <= a->ts && a->ts + a->dur <= b->ts + b->dur;
+        EXPECT_TRUE(disjoint || b_inside_a || a_inside_b)
+            << "lane pid=" << lane.first << " tid=" << lane.second << ": '"
+            << a->name << "' [" << a->ts << ", " << a->ts + a->dur
+            << ") partially overlaps '" << b->name << "' [" << b->ts << ", "
+            << b->ts + b->dur << ")";
+      }
+}
+
 TEST(Supervise, SpeculativelyDuplicatesStragglersFirstAcceptWins) {
   Harness harness(5);
   SupervisorOptions options = harness.options();
   options.straggler_min_samples = 2;
   options.straggler_factor = 2.0;
+  telemetry::TraceRecorder recorder;
+  options.trace = &recorder;
   const SupervisorReport report = supervise_shards(
       harness.plan, options,
       harness.sh_worker([](const ShardAttemptContext& context) {
@@ -507,6 +537,16 @@ TEST(Supervise, SpeculativelyDuplicatesStragglersFirstAcceptWins) {
   const CampaignResult merged =
       merge_shard_results(harness.plan, report.results);
   EXPECT_EQ(harness.canonical_json(merged), harness.single_process_canonical);
+
+  // The straggler and its speculative duplicate ran at the same time, so
+  // their attempt spans sit on two lanes.
+  const std::vector<telemetry::TraceEvent> events = recorder.events();
+  expect_no_partial_overlap(events);
+  std::set<int> shard4_lanes;
+  for (const telemetry::TraceEvent& event : events)
+    if (event.name == "attempt" && event.args.at("shard").as_i64() == 4)
+      shard4_lanes.insert(event.tid);
+  EXPECT_EQ(shard4_lanes, (std::set<int>{5, 10}));
 }
 
 // --- telemetry writers -------------------------------------------------------
