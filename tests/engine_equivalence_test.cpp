@@ -183,6 +183,96 @@ TEST(EngineEquivalence, WorkspaceReuseDoesNotLeakState) {
   }
 }
 
+// Longest payload the overwrite probe sends.
+constexpr std::int64_t kProbeMaxWords = 7;
+
+/// Exercises the last-write-wins contract of Context::send. Payload lengths
+/// vary with port and round over 0..kProbeMaxWords-1. On every third port
+/// the probe first sends a kProbeMaxWords-word message and then overwrites
+/// it with the shorter one; on another third a one-word message comes
+/// first. So an engine that counts overwritten sends, or
+/// takes max_message_words over every write instead of the final ones,
+/// disagrees with the reference. Some ports stay silent. Everything
+/// received is folded into the output.
+class OverwriteProbe final : public Process {
+ public:
+  explicit OverwriteProbe(const NodeInit& init) : id_(init.identity) {}
+
+  void step(Context& ctx) override {
+    const std::int64_t r = ctx.round();
+    for (NodeId j = 0; j < ctx.degree(); ++j) {
+      bool present = false;
+      const auto words = ctx.received_span(j, &present);
+      fold(present ? static_cast<std::int64_t>(words.size()) : -1);
+      for (const std::int64_t w : words) fold(w);
+    }
+    for (NodeId j = 0; j < ctx.degree(); ++j) {
+      const std::int64_t mix = j + 3 * r + id_;
+      if (mix % 5 == 4) continue;  // silent port
+      const std::size_t len =
+          static_cast<std::size_t>((j * 3 + r * 5 + id_) % kProbeMaxWords);
+      if (mix % 3 == 0) {
+        Message long_message(static_cast<std::size_t>(kProbeMaxWords));
+        for (std::size_t i = 0; i < long_message.size(); ++i)
+          long_message[i] = -1 - static_cast<std::int64_t>(i);
+        ctx.send(j, long_message);
+      } else if (mix % 3 == 1) {
+        ctx.send(j, {-id_});  // a one-word message the final one replaces
+      }
+      Message message(len);
+      for (std::size_t i = 0; i < len; ++i)
+        message[i] = id_ * 1000 + r * 10 + static_cast<std::int64_t>(i);
+      ctx.send(j, message);
+    }
+    if (r >= 4 + id_ % 3) ctx.finish(static_cast<std::int64_t>(acc_ >> 1));
+  }
+
+ private:
+  void fold(std::int64_t word) {
+    acc_ = (acc_ ^ static_cast<std::uint64_t>(word)) * 1099511628211ULL;
+  }
+
+  std::int64_t id_;
+  std::uint64_t acc_ = 14695981039346656037ULL;
+};
+
+class OverwriteProbeAlgorithm final : public Algorithm {
+ public:
+  std::unique_ptr<Process> spawn(const NodeInit& init) const override {
+    return std::make_unique<OverwriteProbe>(init);
+  }
+  std::string name() const override { return "overwrite-probe"; }
+};
+
+TEST(EngineEquivalence, LastWriteWinsOnEveryNetwork) {
+  const OverwriteProbeAlgorithm probe;
+  Rng wake_rng(61);
+  for (const auto& named : standard_instances(/*seed=*/59)) {
+    RunOptions options;
+    options.seed = 3;
+    check_all_thread_counts(named.instance, probe, options,
+                            "overwrite/" + named.name);
+
+    RunOptions delayed = options;
+    delayed.network.kind = NetworkKind::kDelayed;
+    delayed.network.preset = DelayPreset::kUniform;
+    const RunResult want = run_local_reference(named.instance, probe, options);
+    const RunResult got = run_local(named.instance, probe, delayed);
+    const std::string label = "overwrite-delayed/" + named.name;
+    EXPECT_EQ(want.outputs, got.outputs) << label;
+    EXPECT_EQ(want.finish_rounds, got.finish_rounds) << label;
+    EXPECT_EQ(want.messages_sent, got.messages_sent) << label;
+    EXPECT_EQ(want.max_message_words, got.max_message_words) << label;
+
+    options.wake_rounds.resize(
+        static_cast<std::size_t>(named.instance.num_nodes()));
+    for (auto& w : options.wake_rounds)
+      w = static_cast<std::int64_t>(wake_rng.next_below(5));
+    check_all_thread_counts(named.instance, probe, options,
+                            "overwrite-wake/" + named.name);
+  }
+}
+
 TEST(EngineEquivalence, StatsAreFilled) {
   Rng rng(31);
   const Instance instance = make_instance(gnp(200, 8.0 / 200, rng),

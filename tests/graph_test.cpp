@@ -6,6 +6,7 @@
 #include "src/graph/io.h"
 #include "src/graph/params.h"
 #include "src/graph/subgraph.h"
+#include "tests/test_support.h"
 
 namespace unilocal {
 namespace {
@@ -74,21 +75,36 @@ TEST(Graph, BuilderBuildTwiceIsConsistent) {
 
 TEST(Csr, MatchesGraphAndReversePortsRoundTrip) {
   Rng rng(21);
-  const Graph g = gnp(80, 0.08, rng);
-  const CsrGraph csr(g);
-  ASSERT_EQ(csr.num_nodes(), g.num_nodes());
-  ASSERT_EQ(csr.num_directed_edges(), 2 * g.num_edges());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    ASSERT_EQ(csr.degree(v), g.degree(v));
-    const auto& nbrs = g.neighbors(v);
-    for (NodeId j = 0; j < csr.degree(v); ++j) {
-      EXPECT_EQ(csr.neighbor(v, j), nbrs[static_cast<std::size_t>(j)]);
-      // reverse_port(v, j) is v's port at the far end of the edge.
-      const NodeId u = csr.neighbor(v, j);
-      const NodeId back = csr.reverse_port(v, j);
-      EXPECT_EQ(csr.neighbor(u, back), v);
-      // in_edge_index names u's slot towards v.
-      EXPECT_EQ(csr.in_edge_index(v, j), csr.edge_index(u, back));
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("gnp-80", gnp(80, 0.08, rng));
+  for (auto& named : testing_support::standard_instances(/*seed=*/5))
+    graphs.emplace_back(named.name, named.instance.graph);
+  for (const auto& [name, g] : graphs) {
+    const CsrGraph csr(g);
+    ASSERT_EQ(csr.num_nodes(), g.num_nodes()) << name;
+    ASSERT_EQ(csr.num_directed_edges(), 2 * g.num_edges()) << name;
+    // in_edge_index must be a permutation of the directed-edge slots.
+    std::vector<char> hit(static_cast<std::size_t>(csr.num_directed_edges()),
+                          0);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(csr.degree(v), g.degree(v)) << name;
+      const auto& nbrs = g.neighbors(v);
+      for (NodeId j = 0; j < csr.degree(v); ++j) {
+        EXPECT_EQ(csr.neighbor(v, j), nbrs[static_cast<std::size_t>(j)])
+            << name;
+        // reverse_port(v, j) is v's port at the far end of the edge.
+        const NodeId u = csr.neighbor(v, j);
+        const NodeId back = csr.reverse_port(v, j);
+        EXPECT_EQ(csr.neighbor(u, back), v) << name;
+        EXPECT_EQ(csr.reverse_port(u, back), j) << name;
+        // in_edge_index names u's slot towards v, and is its own inverse.
+        const std::int64_t in = csr.in_edge_index(v, j);
+        EXPECT_EQ(in, csr.edge_index(u, back)) << name;
+        EXPECT_EQ(csr.in_edge_index(u, back), csr.edge_index(v, j)) << name;
+        ASSERT_GE(in, 0) << name;
+        ASSERT_LT(in, csr.num_directed_edges()) << name;
+        EXPECT_EQ(hit[static_cast<std::size_t>(in)]++, 0) << name;
+      }
     }
   }
 }
