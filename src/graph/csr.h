@@ -2,10 +2,10 @@
 //
 // The simulator's hot loops walk adjacency constantly; the Graph's
 // vector-of-vectors layout costs one pointer chase per node. CsrGraph packs
-// the same topology into three flat arrays — offsets, neighbors, and
-// precomputed reverse ports — so a round engine can index any directed edge
-// (v, port) as a dense integer and message delivery needs no per-run
-// reverse-port recomputation. Built once per topology (Instance caches it)
+// the same topology into three flat arrays — offsets, neighbors, and the
+// precomputed transpose of the directed edges — so a round engine can index
+// any directed edge (v, port) as a dense integer and find the edge a port
+// receives on with one sequential load. Built once per topology (Instance caches it)
 // and shared by every run over that graph.
 #pragma once
 
@@ -52,7 +52,7 @@ class CsrGraph {
   /// direction a reply must take. reverse_port(v, j) == p means
   /// neighbor(neighbor(v, j), p) == v.
   NodeId reverse_port(NodeId v, NodeId j) const {
-    return reverse_ports_[static_cast<std::size_t>(offset(v) + j)];
+    return static_cast<NodeId>(in_edge_index(v, j) - offset(neighbor(v, j)));
   }
 
   /// Dense index of the directed edge (v, port j); message arenas use it as
@@ -60,17 +60,17 @@ class CsrGraph {
   std::int64_t edge_index(NodeId v, NodeId j) const { return offset(v) + j; }
 
   /// Dense index of the directed edge carrying what v RECEIVES on port j:
-  /// the slot its j-th neighbour sends through towards v.
+  /// the slot its j-th neighbour sends through towards v. The map is a
+  /// permutation of the directed edges and its own inverse.
   std::int64_t in_edge_index(NodeId v, NodeId j) const {
-    const NodeId u = neighbor(v, j);
-    return offset(u) + reverse_port(v, j);
+    return in_edges_[static_cast<std::size_t>(offset(v) + j)];
   }
 
  private:
   NodeId n_ = 0;
   std::vector<std::int64_t> offsets_;    // n + 1
   std::vector<NodeId> neighbors_;        // 2m, each list sorted ascending
-  std::vector<NodeId> reverse_ports_;    // 2m, parallel to neighbors_
+  std::vector<std::int64_t> in_edges_;   // 2m, parallel to neighbors_
 };
 
 }  // namespace unilocal

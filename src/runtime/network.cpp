@@ -82,9 +82,9 @@ void validate_network_options(const NetworkOptions& options) {
 // --- SynchronousNetwork ----------------------------------------------------
 
 void SynchronousNetwork::begin_run(std::size_t slots, int threads) {
-  if (!clean_ || send_spans_.size() != slots || recv_spans_.size() != slots) {
-    send_spans_.assign(slots, Span{});
-    recv_spans_.assign(slots, Span{});
+  if (!clean_ || send_slots_.size() != slots || recv_slots_.size() != slots) {
+    send_slots_.assign(slots, Slot{});
+    recv_slots_.assign(slots, Slot{});
   }
   clean_ = false;
   const std::size_t nthreads = static_cast<std::size_t>(threads);
@@ -103,39 +103,39 @@ void SynchronousNetwork::begin_run(std::size_t slots, int threads) {
 void SynchronousNetwork::begin_round(std::int64_t prev_round_messages) {
   // Reset the slots written two rounds ago (stale in the send half after
   // the end_round swaps) using the strategy they were written under.
-  reset_half(send_spans_, send_dirty_, send_bulk_);
+  reset_half(send_slots_, send_dirty_, send_bulk_);
   send_bulk_ = prev_round_messages >= bulk_threshold_;
   for (auto& buf : send_words_) buf.clear();
 }
 
 void SynchronousNetwork::end_round() {
-  std::swap(send_spans_, recv_spans_);
+  std::swap(send_slots_, recv_slots_);
   std::swap(send_words_, recv_words_);
   std::swap(send_dirty_, recv_dirty_);
   std::swap(send_bulk_, recv_bulk_);
 }
 
 void SynchronousNetwork::end_run() {
-  // Both halves still hold the last two rounds' spans, each reset under the
+  // Both halves still hold the last two rounds' slots, each reset under the
   // strategy it was written with.
-  reset_half(send_spans_, send_dirty_, send_bulk_);
-  reset_half(recv_spans_, recv_dirty_, recv_bulk_);
+  reset_half(send_slots_, send_dirty_, send_bulk_);
+  reset_half(recv_slots_, recv_dirty_, recv_bulk_);
   send_bulk_ = recv_bulk_ = false;
   clean_ = true;
 }
 
 void SynchronousNetwork::reset_half(
-    std::vector<Span>& spans,
+    std::vector<Slot>& slots,
     std::vector<std::vector<std::int64_t>>& dirty_lists, bool bulk) {
   if (bulk) {
-    std::fill(spans.begin(), spans.end(), Span{});
+    for (Slot& s : slots) s.words = -1;
     for (auto& dirty : dirty_lists) dirty.clear();  // empty by invariant
     return;
   }
   for (auto& dirty : dirty_lists) {
     dirty_cleared_ += static_cast<std::int64_t>(dirty.size());
     for (const std::int64_t slot : dirty)
-      spans[static_cast<std::size_t>(slot)].words = -1;
+      slots[static_cast<std::size_t>(slot)].words = -1;
     dirty.clear();
   }
 }
@@ -151,7 +151,7 @@ std::int64_t SynchronousNetwork::arena_bytes() const {
   for (const auto& dirty : recv_dirty_)
     bytes += static_cast<std::int64_t>(dirty.capacity()) * 8;
   bytes += static_cast<std::int64_t>(
-      (send_spans_.capacity() + recv_spans_.capacity()) * sizeof(Span));
+      (send_slots_.capacity() + recv_slots_.capacity()) * sizeof(Slot));
   return bytes;
 }
 

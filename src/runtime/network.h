@@ -3,10 +3,10 @@
 // The engine (src/runtime/runner.cpp) decides WHO steps; a network model
 // decides WHEN and WHETHER a sent message reaches its receiver:
 //
-//   SynchronousNetwork — the round-exact double-buffered span arena the
-//     engine has always used: everything sent in round r is available in
-//     round r+1, nothing is lost. This is the default and stays
-//     bit-identical to the seed reference engine.
+//   SynchronousNetwork — the round-exact double-buffered slot arena,
+//     indexed by receiving port with small payloads inline: everything sent
+//     in round r is available in round r+1, nothing is lost. This is the
+//     default and stays bit-identical to the seed reference engine.
 //
 //   DelayedNetwork — an event-queue transport for the asynchronous regime
 //     the paper's synchronizer exists to tame: every transmission of a
@@ -23,6 +23,7 @@
 // the `--network=` / fault-knob CLI flags and the manifest round trip.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -95,21 +96,20 @@ NetworkOptions parse_network_spec(const std::string& spec);
 /// malformed NetworkOptions fails fast instead of mid-run.
 void validate_network_options(const NetworkOptions& options);
 
-/// Arena descriptor of one directed edge's message: offset into the owning
-/// word buffer and length. words < 0 means no message. In the synchronous
-/// arena the top bits of offset carry the id of the stepping thread whose
-/// word buffer holds the payload — needed because the live list is
-/// re-chunked across threads every round, so a sender's thread cannot be
-/// derived from its node id; packing keeps the span at 16 bytes (4 per
-/// cache line) on the hot receive path.
+/// Descriptor of one message in a word buffer: its offset and length.
+/// words < 0 means no message. The delayed network's payload arena and the
+/// synchronizer's history arena index their buffers with it.
 struct Span {
   std::int64_t offset = 0;
   std::int64_t words = -1;
 };
 
-/// offset layout: bits [kOwnerShift, 63) = writer thread, low bits = word
-/// offset. Word buffers stay far below 2^48 entries; thread counts below
-/// 2^15 are enforced in the engine constructor.
+/// Owner-tagged word offset of a synchronous-arena message too long for
+/// its slot: bits [kOwnerShift, 63) = writer thread, low bits = offset into
+/// that thread's overflow buffer. The live list is re-chunked across threads
+/// every round, so a sender's thread cannot be derived from its node id.
+/// Word buffers stay far below 2^48 entries; the engine clamps thread counts
+/// to 2^14.
 constexpr int kOwnerShift = 48;
 constexpr std::int64_t kOffsetMask = (std::int64_t{1} << kOwnerShift) - 1;
 
@@ -118,25 +118,42 @@ inline std::int64_t pack_offset(int owner, std::size_t offset) {
          static_cast<std::int64_t>(offset);
 }
 
-/// The round-exact delivery layer: spans indexed by directed-edge slot,
-/// double-buffered between a send half and a receive half that swap at each
-/// round barrier; payload words live in per-thread buffers (the owner rides
-/// the span offset's top bits). Slots are reset lazily through per-thread
-/// dirty lists — only the slots written two rounds ago — with an adaptive
-/// fallback to a linear fill on dense rounds; the all-clean exit invariant
-/// keeps reused workspaces O(m)-init-free. Owned by EngineWorkspaceState so
-/// capacity survives across runs. send() may be called from concurrent
-/// stepping threads as long as each thread passes its own tid.
+/// Payload words a synchronous-arena slot holds inline. Three words make the
+/// slot 32 bytes, two per cache line, and cover nearly every message the
+/// registry algorithms send (the longest is 4 words), so a receive reads
+/// the slot and nothing else.
+inline constexpr std::size_t kInlineWords = 3;
+
+/// One directed edge's message in the synchronous arena (words < 0: none).
+/// Up to kInlineWords words sit in w; a longer message keeps its
+/// pack_offset in w[0] and its words in the writer thread's overflow buffer.
+struct Slot {
+  std::int64_t words = -1;
+  std::array<std::int64_t, kInlineWords> w{};
+};
+
+/// The round-exact delivery layer. Slots are indexed by the RECEIVING port:
+/// a send on (v, j) writes slot in_edge_index(v, j) and a receive on (v, j)
+/// reads slot edge_index(v, j), so a node's receives walk one contiguous run
+/// of slots and the one random access is the sender's store. The slot table
+/// is double-buffered between a send half and a receive half that swap at
+/// each round barrier. Slots are reset lazily through per-thread dirty lists
+/// (only the slots written two rounds ago) with an adaptive fallback to a
+/// linear fill on dense rounds; the all-clean exit invariant keeps reused
+/// workspaces O(m)-init-free. Owned by EngineWorkspaceState so capacity
+/// survives across runs. send() may be called from concurrent stepping
+/// threads as long as each thread passes its own tid and writes its own
+/// slots.
 class SynchronousNetwork {
  public:
-  /// Per-run preparation: rebuilds the span tables only when the slot count
+  /// Per-run preparation: rebuilds the slot tables only when the slot count
   /// changed or the last run exited dirty (a thrown step).
   void begin_run(std::size_t slots, int threads);
 
   /// Resets the send half (strategy it was written under) and picks this
   /// round's write strategy: a round whose predecessor moved at least a
-  /// quarter of the slot space writes in bulk mode — no dirty recording,
-  /// reset by linear fill — because a sequential sweep beats per-slot
+  /// quarter of the slot space writes in bulk mode (no dirty recording,
+  /// reset by linear fill), because a sequential sweep beats per-slot
   /// indirection when nearly everything was written.
   void begin_round(std::int64_t prev_round_messages);
 
@@ -147,55 +164,66 @@ class SynchronousNetwork {
   /// they were written with).
   void end_run();
 
-  void send(int tid, std::int64_t slot, const std::int64_t* data,
+  /// Writes data[0..words) as this round's message into receiver slot
+  /// `slot`. Returns true on the slot's first write this round, which is
+  /// one new message; false when it overwrites an earlier send of the same
+  /// round (last write wins).
+  bool send(int tid, std::int64_t slot, const std::int64_t* data,
             std::size_t words) {
-    auto& buf = send_words_[static_cast<std::size_t>(tid)];
-    Span& s = send_spans_[static_cast<std::size_t>(slot)];
-    if (!send_bulk_ && s.words < 0)
-      send_dirty_[static_cast<std::size_t>(tid)]
-          .push_back(slot);  // first write this round: schedule the reset
-    s.offset = pack_offset(tid, buf.size());
+    Slot& s = send_slots_[static_cast<std::size_t>(slot)];
+    const bool first = s.words < 0;
+    if (first && !send_bulk_)
+      send_dirty_[static_cast<std::size_t>(tid)].push_back(slot);
     s.words = static_cast<std::int64_t>(words);
-    buf.insert(buf.end(), data, data + words);
+    if (words <= kInlineWords) {
+      std::copy_n(data, words, s.w.data());
+    } else {
+      auto& buf = send_words_[static_cast<std::size_t>(tid)];
+      s.w[0] = pack_offset(tid, buf.size());
+      buf.insert(buf.end(), data, data + words);
+    }
+    return first;
   }
 
-  /// What the previous round sent through `slot`. The returned span points
-  /// into the receive half, which no send of the current round can touch,
-  /// so it stays valid for the whole step.
+  /// Length of this round's message in receiver slot `slot` (-1: none).
+  std::int64_t sent_words(std::int64_t slot) const {
+    return send_slots_[static_cast<std::size_t>(slot)].words;
+  }
+
+  /// What the previous round sent into receiver slot `slot`. The returned
+  /// span points into the receive half, which no send of the current round
+  /// can touch, so it stays valid for the whole step.
   std::span<const std::int64_t> recv(std::int64_t slot, bool* present) const {
-    const Span s = recv_spans_[static_cast<std::size_t>(slot)];
+    const Slot& s = recv_slots_[static_cast<std::size_t>(slot)];
     if (s.words < 0) {
       *present = false;
       return {};
     }
-    const auto& buf =
-        recv_words_[static_cast<std::size_t>(s.offset >> kOwnerShift)];
     *present = true;
-    return {buf.data() + (s.offset & kOffsetMask),
-            static_cast<std::size_t>(s.words)};
-  }
-
-  /// Send-half slot inspection (post-step message accounting).
-  const Span& send_span(std::int64_t slot) const {
-    return send_spans_[static_cast<std::size_t>(slot)];
+    const std::size_t words = static_cast<std::size_t>(s.words);
+    if (words <= kInlineWords) return {s.w.data(), words};
+    const auto& buf =
+        recv_words_[static_cast<std::size_t>(s.w[0] >> kOwnerShift)];
+    return {buf.data() + (s.w[0] & kOffsetMask), words};
   }
 
   /// Slots lazily reset through the dirty lists this run (the clearing-work
   /// stat; bulk fills are not counted).
   std::int64_t dirty_cleared() const { return dirty_cleared_; }
 
-  /// Capacity held by the arena (word buffers + span tables + dirty lists).
+  /// Capacity held by the arena (slot tables, overflow buffers and dirty
+  /// lists).
   std::int64_t arena_bytes() const;
 
  private:
-  void reset_half(std::vector<Span>& spans,
+  void reset_half(std::vector<Slot>& slots,
                   std::vector<std::vector<std::int64_t>>& dirty_lists,
                   bool bulk);
 
-  std::vector<Span> send_spans_, recv_spans_;
+  std::vector<Slot> send_slots_, recv_slots_;
   std::vector<std::vector<std::int64_t>> send_words_, recv_words_;
   std::vector<std::vector<std::int64_t>> send_dirty_, recv_dirty_;
-  // Whether each half was written in bulk mode — travels with the buffer
+  // Whether each half was written in bulk mode; travels with the buffer
   // across the per-round swaps so the reset strategy always matches how the
   // half was written.
   bool send_bulk_ = false, recv_bulk_ = false;

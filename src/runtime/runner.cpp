@@ -29,6 +29,9 @@ namespace {
 struct StepDelta {
   std::int64_t messages = 0;
   std::int64_t max_words = 0;
+  /// A send replaced an earlier one on the same port this round, so
+  /// max_words (folded over every write) must be retaken over final slots.
+  bool overwrote = false;
   std::int64_t steps = 0;
   std::int64_t batched_steps = 0;
   std::int64_t batch_calls = 0;
@@ -776,7 +779,16 @@ class ArenaEngine {
       return;
     }
     if (!sync_mode_) {
-      ws_.sim_net.send(tid, csr_.edge_index(node, port), data, words);
+      // Count the message at its first write to the receiver slot; a resend
+      // replaces it, and then the round max over writes may exceed the
+      // final messages, so step_range recomputes it.
+      StepDelta& delta = deltas_[static_cast<std::size_t>(tid)];
+      if (ws_.sim_net.send(tid, csr_.in_edge_index(node, port), data, words))
+        ++delta.messages;
+      else
+        delta.overwrote = true;
+      delta.max_words =
+          std::max(delta.max_words, static_cast<std::int64_t>(words));
       return;
     }
     const std::int64_t r = ws_.local_round[static_cast<std::size_t>(node)];
@@ -806,7 +818,7 @@ class ArenaEngine {
           ws_.local_round[static_cast<std::size_t>(node)] - 1, present);
     }
     if (!sync_mode_)
-      return ws_.sim_net.recv(csr_.in_edge_index(node, port), present);
+      return ws_.sim_net.recv(csr_.edge_index(node, port), present);
     const std::int64_t want =
         ws_.local_round[static_cast<std::size_t>(node)] - 1;
     const auto& h = ws_.hist[static_cast<std::size_t>(
@@ -1042,16 +1054,15 @@ class ArenaEngine {
         ws_.finish_global[static_cast<std::size_t>(v)] = round;
         ++delta.newly_finished;
       }
-      // Post-step message accounting over this node's out-ports (identical
-      // to the seed engine's outbox scan).
-      const std::int64_t base = csr_.offset(v);
-      const NodeId deg = csr_.degree(v);
-      for (NodeId j = 0; j < deg; ++j) {
-        const Span& s = ws_.sim_net.send_span(base + j);
-        if (s.words >= 0) {
-          ++delta.messages;
-          delta.max_words = std::max(delta.max_words, s.words);
-        }
+    }
+    if (delta.overwrote) {
+      delta.max_words = 0;
+      for (std::size_t i = lo; i < hi; ++i) {
+        const NodeId v = ws_.live[i];
+        for (NodeId j = 0; j < csr_.degree(v); ++j)
+          delta.max_words = std::max(
+              delta.max_words,
+              ws_.sim_net.sent_words(csr_.in_edge_index(v, j)));
       }
     }
   }
