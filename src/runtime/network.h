@@ -118,16 +118,18 @@ inline std::int64_t pack_offset(int owner, std::size_t offset) {
          static_cast<std::int64_t>(offset);
 }
 
-/// Payload words a synchronous-arena slot holds inline. Three words make the
-/// slot 32 bytes, two per cache line, and cover nearly every message the
-/// registry algorithms send (the longest is 4 words), so a receive reads
-/// the slot and nothing else.
+/// Payload words a synchronous-arena slot holds inline, so most receives
+/// read the slot and nothing else. Three words make a 32-byte slot, two per
+/// cache line. Measured on perfbench `dense`, 3 ran faster than 4 or 7,
+/// whose larger slots move more memory, and kept peak memory below 2,
+/// which sends more messages to the overflow buffers.
 inline constexpr std::size_t kInlineWords = 3;
 
 /// One directed edge's message in the synchronous arena (words < 0: none).
 /// Up to kInlineWords words sit in w; a longer message keeps its
 /// pack_offset in w[0] and its words in the writer thread's overflow buffer.
-struct Slot {
+/// Aligned so that no slot straddles two cache lines.
+struct alignas(32) Slot {
   std::int64_t words = -1;
   std::array<std::int64_t, kInlineWords> w{};
 };
@@ -165,13 +167,13 @@ class SynchronousNetwork {
   void end_run();
 
   /// Writes data[0..words) as this round's message into receiver slot
-  /// `slot`. Returns true on the slot's first write this round, which is
-  /// one new message; false when it overwrites an earlier send of the same
-  /// round (last write wins).
-  bool send(int tid, std::int64_t slot, const std::int64_t* data,
-            std::size_t words) {
+  /// `slot`; a later send to the same slot in the round replaces it (last
+  /// write wins). `first` says whether this is the slot's first write this
+  /// round. The sender knows that from its own ports, so the store never
+  /// waits on a read of the randomly placed slot.
+  void send(int tid, std::int64_t slot, const std::int64_t* data,
+            std::size_t words, bool first) {
     Slot& s = send_slots_[static_cast<std::size_t>(slot)];
-    const bool first = s.words < 0;
     if (first && !send_bulk_)
       send_dirty_[static_cast<std::size_t>(tid)].push_back(slot);
     s.words = static_cast<std::int64_t>(words);
@@ -182,7 +184,6 @@ class SynchronousNetwork {
       s.w[0] = pack_offset(tid, buf.size());
       buf.insert(buf.end(), data, data + words);
     }
-    return first;
   }
 
   /// Length of this round's message in receiver slot `slot` (-1: none).

@@ -187,15 +187,18 @@ struct EngineWorkspaceState {
   std::vector<std::int64_t> kernel_port_state;
 
   // Per-thread receive scratch: Message materializations per port with
-  // epoch tags so capacity survives across nodes and rounds; kwords is the
-  // reusable int64 scratch handed to kernels as KernelCtx::scratch;
-  // bucket_nodes/bucket_rounds are the phase-bucketing arrays of the
-  // batched kernel path (one slot per kernel phase, capacity persists).
+  // epoch tags so capacity survives across nodes and rounds; sent_stamp
+  // holds, per port, the simultaneous-mode step (round * n + node) that
+  // last sent on it; kwords is the reusable int64 scratch handed to kernels
+  // as KernelCtx::scratch; bucket_nodes/bucket_rounds are the
+  // phase-bucketing arrays of the batched kernel path (one slot per kernel
+  // phase, capacity persists).
   struct Scratch {
     std::vector<Message> cache;
     std::vector<char> present;
     std::vector<std::uint64_t> epoch;
     std::uint64_t cur_epoch = 0;
+    std::vector<std::int64_t> sent_stamp;
     std::vector<std::int64_t> kwords;
     std::vector<std::vector<NodeId>> bucket_nodes;
     std::vector<std::vector<std::int64_t>> bucket_rounds;
@@ -328,6 +331,7 @@ class ArenaEngine {
         scratch.present.resize(static_cast<std::size_t>(max_degree), 0);
         scratch.epoch.resize(static_cast<std::size_t>(max_degree), 0);
       }
+      scratch.sent_stamp.assign(static_cast<std::size_t>(max_degree), -1);
     }
 
     backends_.reserve(static_cast<std::size_t>(threads_));
@@ -356,6 +360,7 @@ class ArenaEngine {
       const std::int64_t trace_t0 =
           traced ? trace_->recorder->now() : 0;
       net.begin_round(prev_round_messages);
+      sim_round_ = round;
       peak_frontier_ = std::max<std::int64_t>(peak_frontier_, live);
       std::int64_t round_messages = 0;
       std::int64_t round_steps = 0;
@@ -779,11 +784,18 @@ class ArenaEngine {
       return;
     }
     if (!sync_mode_) {
-      // Count the message at its first write to the receiver slot; a resend
+      // Count the message at the port's first send of the step; a resend
       // replaces it, and then the round max over writes may exceed the
       // final messages, so step_range recomputes it.
       StepDelta& delta = deltas_[static_cast<std::size_t>(tid)];
-      if (ws_.sim_net.send(tid, csr_.in_edge_index(node, port), data, words))
+      std::int64_t& stamp = ws_.scratch[static_cast<std::size_t>(tid)]
+                                .sent_stamp[static_cast<std::size_t>(port)];
+      const std::int64_t step = sim_round_ * n_ + node;
+      const bool first = stamp != step;
+      stamp = step;
+      ws_.sim_net.send(tid, csr_.in_edge_index(node, port), data, words,
+                       first);
+      if (first)
         ++delta.messages;
       else
         delta.overwrote = true;
@@ -1211,6 +1223,7 @@ class ArenaEngine {
   std::int64_t batched_steps_ = 0;
   std::int64_t batch_calls_ = 0;
   bool sync_mode_ = false;
+  std::int64_t sim_round_ = 0;  // the simultaneous mode's current round
   bool delayed_mode_ = false;
   // Ambient trace binding (null = untraced run) and per-run trace state.
   const telemetry::TraceBinding* trace_ = nullptr;

@@ -9,6 +9,7 @@
 #include "src/algo/greedy_mis.h"
 #include "src/algo/luby.h"
 #include "src/algo/ruling_set_mc.h"
+#include "src/runtime/network.h"
 #include "src/runtime/reference.h"
 #include "src/runtime/runner.h"
 #include "tests/test_support.h"
@@ -183,8 +184,9 @@ TEST(EngineEquivalence, WorkspaceReuseDoesNotLeakState) {
   }
 }
 
-// Longest payload the overwrite probe sends.
-constexpr std::int64_t kProbeMaxWords = 7;
+// Longest payload the overwrite probe sends: past the synchronous arena's
+// inline slot and its overflow path.
+constexpr std::int64_t kProbeMaxWords = 2 * kInlineWords + 1;
 
 /// Exercises the last-write-wins contract of Context::send. Payload lengths
 /// vary with port and round over 0..kProbeMaxWords-1. On every third port
