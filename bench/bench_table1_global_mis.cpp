@@ -1,8 +1,9 @@
 // E2 — Table 1 row 2: "Det. MIS, parameter n, time 2^O(sqrt(log n))"
-// (Panconesi-Srinivasan). Substitute (DESIGN.md): greedy-by-identity MIS
-// wrapped as A_{n} with declared bound f(n~) = 2n~+4. The transformer's
-// behaviour — double the guess until it covers the true n — is identical to
-// what it would be with the PS black box; only f's shape differs.
+// (Panconesi-Srinivasan). Substitute (README, Substitutions):
+// greedy-by-identity MIS wrapped as A_{n} with declared bound f(n~) = 2n~+4.
+// The transformer's behaviour — double the guess until it covers the true
+// n — is identical to what it would be with the PS black box; only f's
+// shape differs.
 #include "bench/bench_support.h"
 #include "src/algo/greedy_mis.h"
 #include "src/core/transformer.h"

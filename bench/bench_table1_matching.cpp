@@ -1,7 +1,8 @@
 // E6 — Table 1 row 8: deterministic maximal matching (Hanckowiak et al.,
 // O(log^4 n), parameter n or Delta) and Corollary 1(vi). Substitute
-// (DESIGN.md): colored-proposal matching with f = O(Delta^2 + log* m),
-// transformed by Theorem 1 with the paper's P_MM pruning algorithm.
+// (README, Substitutions): colored-proposal matching with
+// f = O(Delta^2 + log* m), transformed by Theorem 1 with the paper's P_MM
+// pruning algorithm.
 #include "bench/bench_support.h"
 #include "src/algo/edge_color_mm.h"
 #include "src/core/transformer.h"

@@ -1,11 +1,11 @@
 // E1 — Table 1 row 1: "Det. MIS and (Delta+1)-coloring, parameters n, Delta,
 // time O(Delta + log* n)" and its uniform counterpart from Corollary 1(i).
 //
-// Substrate (DESIGN.md): the O(Delta~^2 + log* m~) Linial pipeline stands in
-// for the linear-in-Delta originals. The experiment sweeps n at fixed Delta
-// (the log*-dominated regime) and Delta at fixed n (the Delta-dominated
-// regime), comparing the non-uniform baseline (correct guesses) with the
-// Theorem 1 uniform transform. The paper's claim: the ratio is a constant,
+// Substrate (README, Substitutions): the O(Delta~^2 + log* m~) Linial
+// pipeline stands in for the linear-in-Delta originals. The experiment
+// sweeps n at fixed Delta (the log*-dominated regime) and Delta at fixed n
+// (the Delta-dominated regime), comparing the non-uniform baseline (correct
+// guesses) with the Theorem 1 uniform transform. The paper's claim: the ratio is a constant,
 // independent of n and Delta.
 #include "bench/bench_support.h"
 #include "src/algo/mis_from_coloring.h"

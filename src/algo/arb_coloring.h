@@ -6,7 +6,7 @@
 // instead of O(Delta^2), independent of Delta.
 //
 // This is the forests-decomposition coloring route of Barenboim-Elkin
-// (DESIGN.md substitution notes). Gamma = Lambda = {a, n, m};
+// (README, Substitutions). Gamma = Lambda = {a, n, m};
 // f = O(a~^2) + O(log n~) + O(log* m~), additive — the Theorem 3 showcase
 // (a is weakly dominated by n).
 #pragma once

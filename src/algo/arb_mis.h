@@ -1,6 +1,7 @@
 // MIS for bounded-arboricity graphs: the O(a~^2)-coloring pipeline of
 // arb_coloring.h followed by the color-class sweep. Substitute for the
-// Barenboim-Elkin'10 sublogarithmic MIS (Table 1 rows 3-4; DESIGN.md):
+// Barenboim-Elkin'10 sublogarithmic MIS (Table 1 rows 3-4; README,
+// Substitutions):
 // f = O(a~^2) + O(log n~) + O(log* m~) — on bounded-arboricity families the
 // measured rounds are dominated by the O(log n) peeling, reproducing the
 // "o(log n) / O(log n / log log n)" shape of the paper's rows.

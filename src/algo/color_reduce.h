@@ -6,8 +6,8 @@
 // simultaneous recoloring is safe. O(k_start) rounds.
 //
 // This is the standard reduction the paper's Table 1 rows lean on; the
-// library uses it after Linial's log*-round shrink (see DESIGN.md for the
-// substitution notes regarding the linear-in-Delta originals).
+// library uses it after Linial's log*-round shrink (see README,
+// Substitutions, on the linear-in-Delta originals).
 #pragma once
 
 #include <memory>

@@ -2,7 +2,7 @@
 // O(Delta~^2) colors followed by the one-class-per-round reduction into each
 // node's palette [1, deg(v)+1]. Gamma = Lambda = {Delta, m};
 // f = O(Delta~^2) + O(log* m~), additive. Stand-in for the Table 1 row-1
-// (Delta+1)-coloring algorithms (DESIGN.md substitution notes).
+// (Delta+1)-coloring algorithms (README, Substitutions).
 #pragma once
 
 #include <memory>

@@ -1,6 +1,6 @@
 // Deterministic maximal matching via colored proposal phases — the
 // library's documented stand-in for the Hanckowiak et al. O(log^4 n) MM of
-// Table 1 row 8 (DESIGN.md).
+// Table 1 row 8 (README, Substitutions).
 //
 // After a (deg+1)-coloring, vertex color classes take turns: in its phase,
 // an unmatched node proposes to its still-unmatched neighbours one by one; a

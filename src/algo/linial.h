@@ -43,8 +43,8 @@ struct LinialSchedule {
 LinialSchedule linial_schedule(std::int64_t delta_guess,
                                std::int64_t initial_space);
 
-/// Upper bound on the final color-space size for a given Delta~ (DESIGN.md:
-/// at most next_prime(2*Delta~+1)^2 <= 16*(Delta~+1)^2).
+/// Upper bound on the final color-space size for a given Delta~: at most
+/// next_prime(2*Delta~+1)^2 <= 16*(Delta~+1)^2 (README, Substitutions).
 std::int64_t linial_final_space_bound(std::int64_t delta_guess);
 
 /// Executes one reduction step at a node: own color plus the current

@@ -30,7 +30,7 @@ class MisColorSweep final : public Algorithm {
 /// color sweep. Gamma = Lambda = {Delta, m};
 /// f = O(Delta~^2) + O(log* m~) (additive). This is the library's
 /// documented stand-in for the Barenboim-Elkin'09 / Kuhn'09
-/// O(Delta + log* n) MIS (Table 1 row 1; DESIGN.md).
+/// O(Delta + log* n) MIS (Table 1 row 1; README, Substitutions).
 std::unique_ptr<NonUniformAlgorithm> make_coloring_mis();
 
 /// The underlying runnable pipeline for explicit guesses.

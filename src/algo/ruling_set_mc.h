@@ -1,6 +1,6 @@
 // Randomized (2, beta)-ruling set by distance-beta Luby phases — the
 // library's substitute for the Schneider-Wattenhofer (2, 2(c+1))-ruling-set
-// algorithm of Table 1 row 9 (DESIGN.md).
+// algorithm of Table 1 row 9 (README, Substitutions).
 //
 // Each phase: undecided nodes draw a random rank and flood the minimum
 // (rank, identity) pair beta hops; a node holding the strict minimum of its

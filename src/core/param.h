@@ -16,7 +16,7 @@ namespace unilocal {
 enum class Param {
   kNumNodes,    // n
   kMaxDegree,   // Delta
-  kArboricity,  // degeneracy proxy: a <= degeneracy <= 2a-1 (DESIGN.md)
+  kArboricity,  // degeneracy proxy: a <= degeneracy <= 2a-1 (README)
   kMaxIdentity, // m
 };
 

@@ -17,7 +17,7 @@ NodeId max_degree(const Graph& g);
 /// Degeneracy: the smallest d such that every subgraph has a node of degree
 /// <= d, computed by the standard peeling order. For arboricity a(G):
 /// a <= degeneracy <= 2a - 1, so degeneracy is the library's standing,
-/// non-decreasing arboricity proxy (documented in DESIGN.md).
+/// non-decreasing arboricity proxy (README, Substitutions).
 NodeId degeneracy(const Graph& g);
 
 /// Lower bound on arboricity from Nash-Williams density of the whole graph:
