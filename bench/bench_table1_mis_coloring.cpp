@@ -5,8 +5,8 @@
 // pipeline stands in for the linear-in-Delta originals. The experiment
 // sweeps n at fixed Delta (the log*-dominated regime) and Delta at fixed n
 // (the Delta-dominated regime), comparing the non-uniform baseline (correct
-// guesses) with the Theorem 1 uniform transform. The paper's claim: the ratio is a constant,
-// independent of n and Delta.
+// guesses) with the Theorem 1 uniform transform. The paper's claim: the
+// ratio is a constant, independent of n and Delta.
 #include "bench/bench_support.h"
 #include "src/algo/mis_from_coloring.h"
 #include "src/core/transformer.h"

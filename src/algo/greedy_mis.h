@@ -4,9 +4,10 @@
 // its worst-case running time is Theta(n) (identities sorted along a path).
 //
 // This is the library's documented stand-in for the Panconesi-Srinivasan
-// 2^O(sqrt(log n)) black box of Table 1 row 2 (README, Substitutions): wrapped as a
-// non-uniform algorithm whose declared running-time bound is f(n~) = 2n~+4,
-// it exercises exactly the Theorem 1 setting (a bound depending on n only).
+// 2^O(sqrt(log n)) black box of Table 1 row 2 (README, Substitutions):
+// wrapped as a non-uniform algorithm whose declared running-time bound is
+// f(n~) = 2n~+4, it exercises exactly the Theorem 1 setting (a bound
+// depending on n only).
 #pragma once
 
 #include <memory>

@@ -5,8 +5,8 @@
 // the same topology into three flat arrays — offsets, neighbors, and the
 // precomputed transpose of the directed edges — so a round engine can index
 // any directed edge (v, port) as a dense integer and find the edge a port
-// receives on with one sequential load. Built once per topology (Instance caches it)
-// and shared by every run over that graph.
+// receives on with one sequential load. Built once per topology (Instance
+// caches it) and shared by every run over that graph.
 #pragma once
 
 #include <cstdint>
