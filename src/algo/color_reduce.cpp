@@ -117,11 +117,14 @@ inline void color_reduce_mark_used(const std::int64_t* port_state,
 void color_reduce_kernel_eliminate(KernelCtx& ctx) {
   const auto* cfg = static_cast<const ColorReduceKernelConfig*>(ctx.config);
   auto& st = ctx.state_as<ColorReduceKernelState>();
-  // Update the neighbour-color cache (only changed colors arrive).
-  for (NodeId j = 0; j < ctx.degree; ++j) {
-    bool present = false;
-    const auto m = ctx.recv(j, &present);
-    if (present) ctx.port_state[j] = m[0];
+  // Update the neighbour-color cache (only changed colors arrive). Silent
+  // ports keep their entries, so an empty inbox leaves nothing to scan.
+  if (ctx.has_mail) {
+    for (NodeId j = 0; j < ctx.degree; ++j) {
+      bool present = false;
+      const auto m = ctx.recv(j, &present);
+      if (present) ctx.port_state[j] = m[0];
+    }
   }
   const std::int64_t palette_max =
       cfg->target <= 0 ? static_cast<std::int64_t>(ctx.degree) + 1

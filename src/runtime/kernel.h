@@ -26,7 +26,16 @@
 //   - send the same words to the same ports in the same order;
 //   - read all messages BEFORE the first send of a step: in the
 //     synchronizer mode recv() spans point into the history arena, which a
-//     send may grow (the vtable path pays a defensive copy instead).
+//     send may grow (the vtable path pays a defensive copy instead);
+//   - skip a receive scan on !has_mail only when every port being absent
+//     leaves the scan without effect (e.g. a cache that keeps its entries
+//     for silent ports). has_mail is exact in the simultaneous mode and
+//     always true in the other two, so a skip there is never taken.
+//
+// In the simultaneous mode recv() reads the node's receive slots in place:
+// KernelCtx::inbox points at its contiguous run in the synchronous arena and
+// read_slot (src/runtime/network.h) decodes a slot inline, with no call into
+// the engine.
 //
 // Selection is ExecPolicy::kernel_mode (off / auto / on): `auto` uses the
 // kernel whenever Algorithm::kernel() provides one and falls back to the
@@ -46,6 +55,7 @@
 #include <vector>
 
 #include "src/runtime/local.h"
+#include "src/runtime/network.h"
 #include "src/util/rng.h"
 
 namespace unilocal {
@@ -79,6 +89,10 @@ using KernelSelectFn = std::uint16_t (*)(std::int64_t round,
 /// Engine transport installed into every KernelCtx: non-virtual free
 /// functions over the engine's arenas (one perfectly-predicted indirect
 /// call per send/receive instead of two virtual hops and a Message copy).
+/// KernelRecvFn serves only the synchronizer and delayed modes: their
+/// message windows are keyed by the sender's round, with no per-receiver run
+/// of slots to hand out, so the simultaneous mode's in-place inbox cannot
+/// serve them.
 using KernelRecvFn = std::span<const std::int64_t> (*)(void* engine, int tid,
                                                        NodeId node,
                                                        NodeId port,
@@ -114,7 +128,16 @@ struct KernelCtx {
   bool finished = false;
   std::int64_t output = 0;
 
-  // Engine transport; filled by the engine, opaque to kernels.
+  /// Whether any port has a message: exact in the simultaneous mode, always
+  /// true in the synchronizer and delayed modes.
+  bool has_mail = true;
+
+  // Engine transport; filled by the engine, opaque to kernels. In the
+  // simultaneous mode inbox is this node's run of receive slots (one per
+  // port) and overflow the arena's per-thread overflow buffers; elsewhere
+  // inbox is null and receives go through recv_fn.
+  const Slot* inbox = nullptr;
+  const std::vector<std::int64_t>* overflow = nullptr;
   void* engine = nullptr;
   int tid = 0;
   KernelRecvFn recv_fn = nullptr;
@@ -129,7 +152,9 @@ struct KernelCtx {
   /// Message from neighbour port j sent in the previous round; empty and
   /// absent when none arrived. Zero-copy: in the synchronizer mode the span
   /// is invalidated by this step's first send — read before sending.
-  std::span<const std::int64_t> recv(NodeId j, bool* present) {
+  std::span<const std::int64_t> recv(NodeId j, bool* present) const {
+    if (inbox != nullptr)
+      return read_slot(inbox[static_cast<std::size_t>(j)], overflow, present);
     return recv_fn(engine, tid, node, j, present);
   }
 
@@ -198,7 +223,9 @@ struct KernelBatchCtx {
   std::vector<std::int64_t>* scratch = nullptr;
   const void* config = nullptr;
 
-  // Engine transport (identical to the scalar path).
+  // Engine transport (identical to the scalar path). inbox is the default
+  // view (mail null) outside the simultaneous mode.
+  InboxView inbox;
   void* engine = nullptr;
   int tid = 0;
   KernelRecvFn recv_fn = nullptr;
@@ -224,6 +251,11 @@ struct KernelBatchCtx {
                        : nullptr;
     ctx.config = config;
     ctx.scratch = scratch;
+    if (inbox.mail != nullptr) {
+      ctx.inbox = inbox.slots + csr_offsets[v];
+      ctx.overflow = inbox.overflow;
+      ctx.has_mail = inbox.has_mail(v);
+    }
     ctx.engine = engine;
     ctx.tid = tid;
     ctx.recv_fn = recv_fn;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <stdexcept>
 #include <tuple>
 
@@ -81,12 +82,26 @@ void validate_network_options(const NetworkOptions& options) {
 
 // --- SynchronousNetwork ----------------------------------------------------
 
-void SynchronousNetwork::begin_run(std::size_t slots, int threads) {
-  if (!clean_ || send_slots_.size() != slots || recv_slots_.size() != slots) {
-    send_slots_.assign(slots, Slot{});
-    recv_slots_.assign(slots, Slot{});
+void SynchronousNetwork::begin_run(std::size_t slots, NodeId nodes,
+                                   int threads) {
+  if (!clean_) {
+    // A thrown step may have left any slot of the last run written.
+    for (Slot& s : send_slots_) s.words = -1;
+    for (Slot& s : recv_slots_) s.words = -1;
   }
+  if (send_slots_.size() < slots) {
+    // Exact reservations, so capacity tracks the largest run as it did
+    // when the tables were re-assigned.
+    send_slots_.reserve(slots);
+    send_slots_.resize(slots);
+    recv_slots_.reserve(slots);
+    recv_slots_.resize(slots);
+  }
+  active_ = slots;
   clean_ = false;
+  mail_.assign(2 * static_cast<std::size_t>(nodes),
+               std::numeric_limits<std::int64_t>::min());
+  round_ = 0;
   const std::size_t nthreads = static_cast<std::size_t>(threads);
   send_words_.resize(nthreads);
   recv_words_.resize(nthreads);
@@ -100,7 +115,9 @@ void SynchronousNetwork::begin_run(std::size_t slots, int threads) {
   dirty_cleared_ = 0;
 }
 
-void SynchronousNetwork::begin_round(std::int64_t prev_round_messages) {
+void SynchronousNetwork::begin_round(std::int64_t round,
+                                     std::int64_t prev_round_messages) {
+  round_ = round;
   // Reset the slots written two rounds ago (stale in the send half after
   // the end_round swaps) using the strategy they were written under.
   reset_half(send_slots_, send_dirty_, send_bulk_);
@@ -128,7 +145,7 @@ void SynchronousNetwork::reset_half(
     std::vector<Slot>& slots,
     std::vector<std::vector<std::int64_t>>& dirty_lists, bool bulk) {
   if (bulk) {
-    for (Slot& s : slots) s.words = -1;
+    for (std::size_t i = 0; i < active_; ++i) slots[i].words = -1;
     for (auto& dirty : dirty_lists) dirty.clear();  // empty by invariant
     return;
   }
@@ -152,6 +169,7 @@ std::int64_t SynchronousNetwork::arena_bytes() const {
     bytes += static_cast<std::int64_t>(dirty.capacity()) * 8;
   bytes += static_cast<std::int64_t>(
       (send_slots_.capacity() + recv_slots_.capacity()) * sizeof(Slot));
+  bytes += static_cast<std::int64_t>(mail_.capacity()) * 8;
   return bytes;
 }
 

@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -134,6 +135,48 @@ struct alignas(32) Slot {
   std::array<std::int64_t, kInlineWords> w{};
 };
 
+/// The message in `slot`: its inline words, or its words in the writer
+/// thread's buffer of `overflow` (indexed by thread); empty and absent when
+/// the slot holds none. The one slot decoder, shared by
+/// SynchronousNetwork::recv and the kernels' in-place KernelCtx::recv.
+inline std::span<const std::int64_t> read_slot(
+    const Slot& slot, const std::vector<std::int64_t>* overflow,
+    bool* present) {
+  if (slot.words < 0) {
+    *present = false;
+    return {};
+  }
+  *present = true;
+  const std::size_t words = static_cast<std::size_t>(slot.words);
+  if (words <= kInlineWords) return {slot.w.data(), words};
+  const auto& buf =
+      overflow[static_cast<std::size_t>(slot.w[0] >> kOwnerShift)];
+  return {buf.data() + (slot.w[0] & kOffsetMask), words};
+}
+
+/// Read-only view of the synchronous arena's receive half while round
+/// `round` steps: what the previous round sent. Node v's receives are the
+/// contiguous run slots[offset(v) .. offset(v) + degree(v)), one slot per
+/// port. mail holds two round stamps per node, indexed by round parity:
+/// mail[2 * v + (r & 1)] == r says some neighbour sent to v in round r. One
+/// stamp per node would not do: a neighbour stepped earlier in this round
+/// would overwrite the previous round's stamp before v reads it. A
+/// default view (mail null) stands for the other modes; slots alone cannot
+/// say so, since a graph without edges has an empty slot table.
+struct InboxView {
+  const Slot* slots = nullptr;
+  const std::vector<std::int64_t>* overflow = nullptr;
+  const std::int64_t* mail = nullptr;
+  std::int64_t round = 0;
+
+  /// Whether any of v's ports holds a message this round.
+  bool has_mail(NodeId v) const {
+    const std::int64_t prev = round - 1;
+    return mail[2 * static_cast<std::size_t>(v) +
+                static_cast<std::size_t>(prev & 1)] == prev;
+  }
+};
+
 /// The round-exact delivery layer. Slots are indexed by the RECEIVING port:
 /// a send on (v, j) writes slot in_edge_index(v, j) and a receive on (v, j)
 /// reads slot edge_index(v, j), so a node's receives walk one contiguous run
@@ -142,22 +185,26 @@ struct alignas(32) Slot {
 /// each round barrier. Slots are reset lazily through per-thread dirty lists
 /// (only the slots written two rounds ago) with an adaptive fallback to a
 /// linear fill on dense rounds; the all-clean exit invariant keeps reused
-/// workspaces O(m)-init-free. Owned by EngineWorkspaceState so capacity
-/// survives across runs. send() may be called from concurrent stepping
-/// threads as long as each thread passes its own tid and writes its own
-/// slots.
+/// workspaces O(m)-init-free. Each first write of a slot in a round also
+/// stamps the receiver's mail (see InboxView), so a kernel can tell an empty
+/// inbox without reading its ports. Owned by EngineWorkspaceState so
+/// capacity survives across runs. send() may be called from concurrent
+/// stepping threads as long as each thread passes its own tid and writes its
+/// own slots; mail stamps shared between threads are atomic stores.
 class SynchronousNetwork {
  public:
-  /// Per-run preparation: rebuilds the slot tables only when the slot count
-  /// changed or the last run exited dirty (a thrown step).
-  void begin_run(std::size_t slots, int threads);
+  /// Per-run preparation for `slots` receive slots and `nodes` receivers.
+  /// The slot tables are grow-only: growth appends clean slots, and only a
+  /// run that exited dirty (a thrown step) refills them. The mail stamps are
+  /// reset, O(nodes).
+  void begin_run(std::size_t slots, NodeId nodes, int threads);
 
   /// Resets the send half (strategy it was written under) and picks this
   /// round's write strategy: a round whose predecessor moved at least a
   /// quarter of the slot space writes in bulk mode (no dirty recording,
   /// reset by linear fill), because a sequential sweep beats per-slot
   /// indirection when nearly everything was written.
-  void begin_round(std::int64_t prev_round_messages);
+  void begin_round(std::int64_t round, std::int64_t prev_round_messages);
 
   /// The round barrier: what was sent becomes receivable.
   void end_round();
@@ -166,16 +213,24 @@ class SynchronousNetwork {
   /// they were written with).
   void end_run();
 
-  /// Writes data[0..words) as this round's message into receiver slot
-  /// `slot`; a later send to the same slot in the round replaces it (last
-  /// write wins). `first` says whether this is the slot's first write this
-  /// round. The sender knows that from its own ports, so the store never
-  /// waits on a read of the randomly placed slot.
-  void send(int tid, std::int64_t slot, const std::int64_t* data,
-            std::size_t words, bool first) {
+  /// Writes data[0..words) as this round's message into slot `slot` of
+  /// node `receiver`; a later send to the same slot in the round replaces it
+  /// (last write wins). `first` says whether this is the slot's first write
+  /// this round. The sender knows that from its own ports, so the store
+  /// never waits on a read of the randomly placed slot.
+  void send(int tid, NodeId receiver, std::int64_t slot,
+            const std::int64_t* data, std::size_t words, bool first) {
     Slot& s = send_slots_[static_cast<std::size_t>(slot)];
-    if (first && !send_bulk_)
-      send_dirty_[static_cast<std::size_t>(tid)].push_back(slot);
+    if (first) {
+      // Senders on several threads may stamp one receiver; they all store
+      // the same round.
+      std::atomic_ref<std::int64_t>(
+          mail_[2 * static_cast<std::size_t>(receiver) +
+                static_cast<std::size_t>(round_ & 1)])
+          .store(round_, std::memory_order_relaxed);
+      if (!send_bulk_)
+        send_dirty_[static_cast<std::size_t>(tid)].push_back(slot);
+    }
     s.words = static_cast<std::int64_t>(words);
     if (words <= kInlineWords) {
       std::copy_n(data, words, s.w.data());
@@ -195,17 +250,14 @@ class SynchronousNetwork {
   /// span points into the receive half, which no send of the current round
   /// can touch, so it stays valid for the whole step.
   std::span<const std::int64_t> recv(std::int64_t slot, bool* present) const {
-    const Slot& s = recv_slots_[static_cast<std::size_t>(slot)];
-    if (s.words < 0) {
-      *present = false;
-      return {};
-    }
-    *present = true;
-    const std::size_t words = static_cast<std::size_t>(s.words);
-    if (words <= kInlineWords) return {s.w.data(), words};
-    const auto& buf =
-        recv_words_[static_cast<std::size_t>(s.w[0] >> kOwnerShift)];
-    return {buf.data() + (s.w[0] & kOffsetMask), words};
+    return read_slot(recv_slots_[static_cast<std::size_t>(slot)],
+                     recv_words_.data(), present);
+  }
+
+  /// The receive half as this round's kernels read it. The end_round swap
+  /// moves the halves, so take a fresh view every round.
+  InboxView inbox() const {
+    return {recv_slots_.data(), recv_words_.data(), mail_.data(), round_};
   }
 
   /// Slots lazily reset through the dirty lists this run (the clearing-work
@@ -222,6 +274,12 @@ class SynchronousNetwork {
                   bool bulk);
 
   std::vector<Slot> send_slots_, recv_slots_;
+  // Slots this run uses: a prefix of the grow-only tables. Everything past
+  // it is clean, so bulk resets stop here.
+  std::size_t active_ = 0;
+  // Two round stamps per receiver, indexed by round parity (see InboxView).
+  std::vector<std::int64_t> mail_;
+  std::int64_t round_ = 0;
   std::vector<std::vector<std::int64_t>> send_words_, recv_words_;
   std::vector<std::vector<std::int64_t>> send_dirty_, recv_dirty_;
   // Whether each half was written in bulk mode; travels with the buffer

@@ -344,7 +344,7 @@ class ArenaEngine {
     const std::size_t slots = static_cast<std::size_t>(
         csr_.num_directed_edges());
     SynchronousNetwork& net = ws_.sim_net;
-    net.begin_run(slots, threads_);
+    net.begin_run(slots, n_, threads_);
 
     ws_.live.resize(static_cast<std::size_t>(n_));
     std::iota(ws_.live.begin(), ws_.live.end(), NodeId{0});
@@ -359,8 +359,9 @@ class ArenaEngine {
       const bool traced = begin_trace_round();
       const std::int64_t trace_t0 =
           traced ? trace_->recorder->now() : 0;
-      net.begin_round(prev_round_messages);
+      net.begin_round(round, prev_round_messages);
       sim_round_ = round;
+      sim_inbox_ = net.inbox();
       peak_frontier_ = std::max<std::int64_t>(peak_frontier_, live);
       std::int64_t round_messages = 0;
       std::int64_t round_steps = 0;
@@ -793,8 +794,8 @@ class ArenaEngine {
       const std::int64_t step = sim_round_ * n_ + node;
       const bool first = stamp != step;
       stamp = step;
-      ws_.sim_net.send(tid, csr_.in_edge_index(node, port), data, words,
-                       first);
+      ws_.sim_net.send(tid, csr_.neighbor(node, port),
+                       csr_.in_edge_index(node, port), data, words, first);
       if (first)
         ++delta.messages;
       else
@@ -881,8 +882,9 @@ class ArenaEngine {
 
   // Non-virtual transport installed into every KernelCtx. Receives are the
   // zero-copy arena lookup (kernels honour the read-before-send contract, so
-  // the vtable path's defensive scratch copy is unnecessary); sends share
-  // do_send with the vtable path.
+  // the vtable path's defensive scratch copy is unnecessary); the
+  // simultaneous mode never calls kernel_recv, because its kernels read
+  // their inbox in place. Sends share do_send with the vtable path.
   static std::span<const std::int64_t> kernel_recv(void* engine, int tid,
                                                    NodeId node, NodeId port,
                                                    bool* present) {
@@ -914,6 +916,11 @@ class ArenaEngine {
                   static_cast<std::size_t>(csr_.offset(v)) * kport_words_;
     ctx.config = kernel_->config.get();
     ctx.scratch = &ws_.scratch[static_cast<std::size_t>(tid)].kwords;
+    if (sim_inbox_.mail != nullptr) {
+      ctx.inbox = sim_inbox_.slots + csr_.offset(v);
+      ctx.overflow = sim_inbox_.overflow;
+      ctx.has_mail = sim_inbox_.has_mail(v);
+    }
     ctx.engine = this;
     ctx.tid = tid;
     ctx.recv_fn = &ArenaEngine::kernel_recv;
@@ -954,6 +961,7 @@ class ArenaEngine {
     b.outputs = ws_.outputs.data();
     b.scratch = &ws_.scratch[static_cast<std::size_t>(tid)].kwords;
     b.config = kernel_->config.get();
+    b.inbox = sim_inbox_;
     b.engine = this;
     b.tid = tid;
     b.recv_fn = &ArenaEngine::kernel_recv;
@@ -1224,6 +1232,9 @@ class ArenaEngine {
   std::int64_t batch_calls_ = 0;
   bool sync_mode_ = false;
   std::int64_t sim_round_ = 0;  // the simultaneous mode's current round
+  // The simultaneous mode's receive half for this round (the default view
+  // in the other modes, whose kernels receive through kernel_recv).
+  InboxView sim_inbox_;
   bool delayed_mode_ = false;
   // Ambient trace binding (null = untraced run) and per-run trace state.
   const telemetry::TraceBinding* trace_ = nullptr;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -294,6 +295,156 @@ TEST(KernelEquivalence, DelayedNetworkBitIdentity) {
       EXPECT_EQ(on.stats.kernel_steps, on.stats.total_steps) << tag;
       EXPECT_EQ(on.stats.vtable_steps, 0) << tag;
     }
+  }
+}
+
+// --- mail stamps: KernelCtx::has_mail against the ports themselves ---------
+
+/// What the mail probe saw at one node over its steps.
+struct MailTally {
+  std::int64_t steps = 0;
+  std::int64_t mismatches = 0;    // has_mail != "some port is present"
+  std::int64_t without_mail = 0;  // has_mail false
+  std::int64_t with_message = 0;  // some port present
+};
+
+struct MailProbeConfig {
+  // One tally per node; a step writes only its own node's entry.
+  std::vector<MailTally>* tallies = nullptr;
+};
+
+struct MailProbeState {
+  std::int64_t id;
+};
+
+void mail_probe_init(std::byte* state, const NodeInit& init, const void*) {
+  reinterpret_cast<MailProbeState*>(state)->id = init.identity;
+}
+
+// Reads every port, tallies, then sends on about a fifth of its ports: most
+// steps find no mail, and a node often gets mail in consecutive rounds, so
+// a neighbour stepped earlier in a round has just sent to it again.
+void mail_probe_step(KernelCtx& ctx) {
+  const auto* cfg = static_cast<const MailProbeConfig*>(ctx.config);
+  const auto& st = ctx.state_as<MailProbeState>();
+  bool any = false;
+  for (NodeId j = 0; j < ctx.degree; ++j) {
+    bool present = false;
+    ctx.recv(j, &present);
+    any = any || present;
+  }
+  MailTally& tally = (*cfg->tallies)[static_cast<std::size_t>(ctx.node)];
+  ++tally.steps;
+  if (ctx.has_mail != any) ++tally.mismatches;
+  if (!ctx.has_mail) ++tally.without_mail;
+  if (any) ++tally.with_message;
+  for (NodeId j = 0; j < ctx.degree; ++j)
+    if ((st.id + 2 * j + ctx.round) % 5 == 0) ctx.send(j, {ctx.round});
+  if (ctx.round >= 8 + st.id % 4) ctx.finish(0);
+}
+
+void mail_probe_batch(const KernelBatchCtx& b) {
+  for (std::size_t i = 0; i < b.count; ++i) {
+    KernelCtx ctx = b.node_ctx(i);
+    mail_probe_step(ctx);
+    b.latch(i, ctx);
+  }
+}
+
+/// Kernel-only probe. Even rounds run batched (KernelBatchCtx::node_ctx
+/// builds the view), odd rounds scalar (the engine builds it).
+class MailProbe final : public Algorithm {
+ public:
+  explicit MailProbe(std::vector<MailTally>* tallies) {
+    auto kernel = std::make_shared<StepKernel>();
+    kernel->name = "mail-probe";
+    kernel->state_size = sizeof(MailProbeState);
+    kernel->state_align = alignof(MailProbeState);
+    kernel->init_fn = mail_probe_init;
+    kernel->phases = {{"even", mail_probe_step, mail_probe_batch},
+                      {"odd", mail_probe_step}};
+    kernel->config = std::make_shared<const MailProbeConfig>(
+        MailProbeConfig{tallies});
+    kernel_ = std::move(kernel);
+  }
+  std::unique_ptr<Process> spawn(const NodeInit&) const override {
+    throw std::logic_error("mail-probe runs only as a kernel");
+  }
+  std::string name() const override { return "mail-probe"; }
+  std::shared_ptr<const StepKernel> kernel() const override { return kernel_; }
+
+ private:
+  std::shared_ptr<const StepKernel> kernel_;
+};
+
+/// Runs the probe under `options` (kernel mode on) and returns the summed
+/// tally, checking that every step was tallied once.
+MailTally run_mail_probe(const Instance& instance, RunOptions options,
+                         const std::string& label,
+                         std::vector<MailTally>* per_node) {
+  per_node->assign(static_cast<std::size_t>(instance.num_nodes()),
+                   MailTally{});
+  const MailProbe probe(per_node);
+  options.kernel_mode = KernelMode::kOn;
+  const RunResult result = run_local(instance, probe, options);
+  MailTally sum;
+  for (const MailTally& t : *per_node) {
+    sum.steps += t.steps;
+    sum.mismatches += t.mismatches;
+    sum.without_mail += t.without_mail;
+    sum.with_message += t.with_message;
+  }
+  EXPECT_EQ(sum.steps, result.stats.total_steps) << label;
+  return sum;
+}
+
+TEST(KernelMailStamps, HasMailIsExactInTheSimultaneousMode) {
+  MailTally total;
+  std::vector<MailTally> per_node;
+  for (const auto& named : standard_instances(/*seed=*/73)) {
+    for (const int threads : {1, 2, 8}) {
+      RunOptions options;
+      options.seed = 5;
+      options.num_threads = threads;
+      const std::string label =
+          "mail/" + named.name + "/threads=" + std::to_string(threads);
+      const MailTally sum =
+          run_mail_probe(named.instance, options, label, &per_node);
+      for (std::size_t v = 0; v < per_node.size(); ++v)
+        EXPECT_EQ(per_node[v].mismatches, 0) << label << " node " << v;
+      total.without_mail += sum.without_mail;
+      total.with_message += sum.with_message;
+    }
+  }
+  // Both answers occur, so the equality above is not vacuous.
+  EXPECT_GT(total.without_mail, 0);
+  EXPECT_GT(total.with_message, 0);
+}
+
+TEST(KernelMailStamps, HasMailIsAlwaysTrueOutsideTheSimultaneousMode) {
+  std::vector<MailTally> per_node;
+  for (const auto& named : standard_instances(/*seed=*/79)) {
+    if (named.instance.num_nodes() == 0) continue;
+    RunOptions sync;
+    sync.seed = 7;
+    Rng wake_rng(83);
+    sync.wake_rounds.resize(
+        static_cast<std::size_t>(named.instance.num_nodes()));
+    for (auto& w : sync.wake_rounds)
+      w = static_cast<std::int64_t>(wake_rng.next_below(5));
+    const MailTally synchronized = run_mail_probe(
+        named.instance, sync, "mail-sync/" + named.name, &per_node);
+    EXPECT_GT(synchronized.steps, 0) << named.name;
+    EXPECT_EQ(synchronized.without_mail, 0) << "mail-sync/" << named.name;
+
+    RunOptions delayed;
+    delayed.seed = 7;
+    delayed.network.kind = NetworkKind::kDelayed;
+    delayed.network.preset = DelayPreset::kUniform;
+    const MailTally late = run_mail_probe(
+        named.instance, delayed, "mail-delayed/" + named.name, &per_node);
+    EXPECT_GT(late.steps, 0) << named.name;
+    EXPECT_EQ(late.without_mail, 0) << "mail-delayed/" << named.name;
   }
 }
 
