@@ -16,7 +16,8 @@
 //    track);
 //  - every "round" span carries round/frontier/messages/steps args and
 //    sits inside an "engine.run" span on its lane; every "cell" span
-//    carries index/scenario/algorithm/seed args;
+//    carries index/scenario/algorithm/seed args; the engine's "mode" and
+//    "path" args are strings;
 //  - --expect-cells=N / --expect-attempts=N pin the number of "cell" /
 //    "attempt" spans (a stitched supervised trace must cover every
 //    campaign cell and every shard attempt).
@@ -70,6 +71,18 @@ void require_args(const telemetry::TraceEvent& event,
     if (find_arg(event, key) == nullptr)
       fail("'" + event.name + "' span at ts=" + std::to_string(event.ts) +
            " missing arg '" + key + "'");
+}
+
+// The engine's mode/path args name a loop and a step path; anything but a
+// string there (a literal bound to the bool appender, say) is a bug.
+void require_string_args(const telemetry::TraceEvent& event,
+                         const std::vector<const char*>& keys) {
+  for (const char* key : keys) {
+    const json::Value* value = find_arg(event, key);
+    if (value != nullptr && !value->is_string())
+      fail("'" + event.name + "' span at ts=" + std::to_string(event.ts) +
+           " has non-string arg '" + key + "'");
+  }
 }
 
 int check_trace(const std::string& path, std::int64_t expect_cells,
@@ -127,8 +140,10 @@ int check_trace(const std::string& path, std::int64_t expect_cells,
     } else if (event.name == "round") {
       ++rounds;
       require_args(event, {"round", "frontier", "messages", "steps"});
+      require_string_args(event, {"path"});
     } else if (event.name == "engine.run") {
       require_args(event, {"mode", "path", "n", "rounds"});
+      require_string_args(event, {"mode", "path"});
     }
   }
   for (auto& [lane, spans] : lanes) {

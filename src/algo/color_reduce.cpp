@@ -147,6 +147,21 @@ void color_reduce_kernel_eliminate(KernelCtx& ctx) {
   if (ctx.round + 1 >= cfg->rounds) ctx.finish(st.color);
 }
 
+// Wake rule: without mail the color and the cache stay put, so a node next
+// acts in the round that eliminates its color (k_start - color + 1) or in
+// the finish round (rounds - 1), whichever comes first. A node whose color
+// already lies in its palette still wakes for the no-op elimination round:
+// the palette depends on the degree, which the rule does not see.
+std::int64_t color_reduce_kernel_wake(std::int64_t round,
+                                      const std::byte* state,
+                                      const void* config) {
+  const auto* cfg = static_cast<const ColorReduceKernelConfig*>(config);
+  const auto* st = reinterpret_cast<const ColorReduceKernelState*>(state);
+  const std::int64_t eliminated = cfg->k_start - st->color + 1;
+  return eliminated > round ? std::min(eliminated, cfg->rounds - 1)
+                            : std::max(cfg->rounds - 1, round + 1);
+}
+
 // --- batched stepping (phase-grouped buckets; see KernelBatchCtx) -----------
 
 void color_reduce_batch_init(const KernelBatchCtx& b) {
@@ -180,6 +195,7 @@ std::shared_ptr<const StepKernel> make_color_reduce_kernel(
                          const void*) -> std::uint16_t {
     return round == 0 ? 0 : 1;
   };
+  kernel->wake_fn = color_reduce_kernel_wake;
   kernel->config = std::shared_ptr<const void>(
       std::make_shared<ColorReduceKernelConfig>(
           ColorReduceKernelConfig{k_start, target, rounds}));

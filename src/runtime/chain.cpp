@@ -220,6 +220,30 @@ void chain_kernel_done(KernelCtx& ctx) {
   ctx.finish(h.carry);
 }
 
+// Wake rule: a node acts at the next stage's entry and in the final round
+// (total - 1, where the last stage finishes); while the current stage's
+// inner kernel runs, also at that kernel's own wake, shifted to chain
+// rounds. Idle rounds and quiet inner rounds change nothing, so every
+// other round is a no-op without mail.
+std::int64_t chain_kernel_wake(std::int64_t round, const std::byte* state,
+                               const void* config) {
+  const auto& cfg = *static_cast<const ChainKernelConfig*>(config);
+  std::int64_t wake = cfg.total - 1;
+  if (round < wake) {
+    const std::size_t k = chain_stage_of(cfg, round);
+    if (k + 1 < cfg.stages.size())
+      wake = std::min(wake, cfg.stages[k + 1].start);
+    const auto* h = reinterpret_cast<const ChainKernelHeader*>(state);
+    if (h->inner_done == 0) {
+      const ChainKernelStage& stage = cfg.stages[k];
+      wake = std::min(wake, stage.start + kernel_wake(*stage.kernel,
+                                                      round - stage.start,
+                                                      state + cfg.inner_offset));
+    }
+  }
+  return std::max(wake, round + 1);
+}
+
 // Batched forms: loop the bucket over the scalar phase bodies (the chain
 // phases keep per-stage input/config handling, so the composite does not
 // forward whole buckets to inner batch fns — the win here is one dispatch
@@ -286,6 +310,7 @@ std::shared_ptr<const StepKernel> make_chain_kernel(
                     {"idle", chain_kernel_idle, chain_batch_idle},
                     {"done", chain_kernel_done}};
   kernel->select_fn = chain_kernel_select;
+  kernel->wake_fn = chain_kernel_wake;
   kernel->config = std::shared_ptr<const void>(std::move(cfg));
   return kernel;
 }

@@ -30,7 +30,14 @@
 //   - skip a receive scan on !has_mail only when every port being absent
 //     leaves the scan without effect (e.g. a cache that keeps its entries
 //     for silent ports). has_mail is exact in the simultaneous mode and
-//     always true in the other two, so a skip there is never taken.
+//     always true in the other two, so a skip there is never taken;
+//   - a wake_fn (optional) declares, after a step of local round r, the
+//     first later round w in which the node acts when no message reaches
+//     it. Every step of a round in (r, w) with an empty inbox must then be
+//     a no-op: no send, no RNG draw, no write to state or port state, and
+//     no finish. Returning r+1 is always correct, and a kernel without a
+//     wake_fn behaves that way. The simultaneous loop counts such a quiet
+//     step without calling the kernel (see kernel_wake).
 //
 // In the simultaneous mode recv() reads the node's receive slots in place:
 // KernelCtx::inbox points at its contiguous run in the synchronous arena and
@@ -85,6 +92,12 @@ using KernelInitFn = void (*)(std::byte* state, const NodeInit& init,
 using KernelSelectFn = std::uint16_t (*)(std::int64_t round,
                                          const std::byte* state,
                                          const void* config);
+/// Maps (local round just stepped, node state after it, config) to the
+/// first later round in which the node acts without mail (see the wake rule
+/// in the lowering contract above).
+using KernelWakeFn = std::int64_t (*)(std::int64_t round,
+                                      const std::byte* state,
+                                      const void* config);
 
 /// Engine transport installed into every KernelCtx: non-virtual free
 /// functions over the engine's arenas (one perfectly-predicted indirect
@@ -182,15 +195,17 @@ struct KernelCtx {
 /// Batched counterpart of KernelCtx: one bucket of same-phase nodes per
 /// call. The engine groups the round's live/frontier list by resolved
 /// kernel_phase_index and hands each bucket to the phase's KernelBatchFn
-/// (when it has one) instead of building a KernelCtx per node — the batch
-/// fn loops the bucket itself, so the per-node phase body inlines into one
-/// tight loop over the strided state arena (the shape the compiler can
-/// vectorize). Aliasing: records of distinct nodes never overlap
-/// (stride >= state_size), and within a bucket every node owns its own RNG
-/// stream and per-edge send slots, so nodes may be stepped in any order —
-/// but each node must still read all of its messages before its first send
-/// (the synchronizer-mode span invalidation applies per node exactly as in
-/// the scalar contract above).
+/// (when it has one) instead of making one indirect call per node — the
+/// batch fn loops the bucket itself over the strided state arena. The
+/// per-node phase body is not guaranteed to inline into that loop (the
+/// GCC 12 -O3 Release build still calls color_reduce_kernel_eliminate out
+/// of line from color_reduce_batch_eliminate), so the saving is the
+/// dispatch, not a fused loop. Aliasing: records of distinct nodes never
+/// overlap (stride >= state_size), and within a bucket every node owns its
+/// own RNG stream and per-edge send slots, so nodes may be stepped in any
+/// order — but each node must still read all of its messages before its
+/// first send (the synchronizer-mode span invalidation applies per node
+/// exactly as in the scalar contract above).
 struct KernelBatchCtx {
   /// The bucket: count node ids, with rounds[i] the local round nodes[i]
   /// is stepping (uniform in simultaneous mode; per-node under the
@@ -233,8 +248,9 @@ struct KernelBatchCtx {
 
   /// The scalar view of bucket slot i — batch fns that share their body
   /// with the scalar KernelStepFn build one of these per node and call the
-  /// phase body directly (a plain call the compiler inlines, instead of the
-  /// engine's per-node indirect dispatch).
+  /// phase body directly (a plain call instead of the engine's per-node
+  /// indirect dispatch). Keep it branch-free per node: it runs for every
+  /// batched step, and the engine filters quiet nodes before bucketing.
   KernelCtx node_ctx(std::size_t i) const {
     const NodeId v = nodes[i];
     KernelCtx ctx;
@@ -307,6 +323,8 @@ struct StepKernel {
   /// when select_fn is null. Must be non-empty with non-null fns.
   std::vector<KernelPhase> phases;
   KernelSelectFn select_fn = nullptr;
+  /// Optional wake rule (see the lowering contract); null = every round.
+  KernelWakeFn wake_fn = nullptr;
   /// Algorithm-wide read-only parameters (schedules, palettes, budgets)
   /// shared by every node; exposed as KernelCtx::config.
   std::shared_ptr<const void> config;
@@ -323,6 +341,17 @@ inline std::size_t kernel_phase_index(const StepKernel& kernel,
   const std::size_t n = kernel.phases.size();
   return n == 1 ? 0
                : static_cast<std::size_t>(round % static_cast<std::int64_t>(n));
+}
+
+/// The first round after `round` in which a node of `kernel` whose step of
+/// `round` left `state` acts without mail: the kernel's wake_fn, or round+1
+/// without one. Shared by the engine and the composite kernels, which
+/// forward to their inner kernels through it.
+inline std::int64_t kernel_wake(const StepKernel& kernel, std::int64_t round,
+                                const std::byte* state) {
+  return kernel.wake_fn != nullptr
+             ? kernel.wake_fn(round, state, kernel.config.get())
+             : round + 1;
 }
 
 /// One registry row: a key (matching the algorithm-registry building block

@@ -33,6 +33,8 @@ struct StepDelta {
   /// max_words (folded over every write) must be retaken over final slots.
   bool overwrote = false;
   std::int64_t steps = 0;
+  /// Of steps, how many the wake check counted without a kernel call.
+  std::int64_t quiet = 0;
   std::int64_t batched_steps = 0;
   std::int64_t batch_calls = 0;
   NodeId newly_finished = 0;
@@ -164,6 +166,12 @@ struct EngineWorkspaceState {
   // Compacted list of unfinished nodes (simultaneous mode), ascending; the
   // per-round thread chunks partition this list, not the node-id space.
   std::vector<NodeId> live;
+  // Simultaneous mode under a kernel with a wake_fn: wake[v] is the first
+  // round in which v acts without mail, declared after its last real step
+  // (0 = every round until then). Written by the thread that stepped v and
+  // read next round by whichever thread holds v's chunk, across the round
+  // barrier.
+  std::vector<std::int64_t> wake;
 
   // Grow-only history arena (synchronizer mode): hist[e][i] = what the
   // owner of directed edge e emitted in its local round i.
@@ -190,7 +198,8 @@ struct EngineWorkspaceState {
   // epoch tags so capacity survives across nodes and rounds; sent_stamp
   // holds, per port, the simultaneous-mode step (round * n + node) that
   // last sent on it; kwords is the reusable int64 scratch handed to kernels
-  // as KernelCtx::scratch; bucket_nodes/bucket_rounds are the
+  // as KernelCtx::scratch; awake lists the nodes of the thread's live slice
+  // that pass the wake check; bucket_nodes/bucket_rounds are the
   // phase-bucketing arrays of the batched kernel path (one slot per kernel
   // phase, capacity persists).
   struct Scratch {
@@ -200,6 +209,7 @@ struct EngineWorkspaceState {
     std::uint64_t cur_epoch = 0;
     std::vector<std::int64_t> sent_stamp;
     std::vector<std::int64_t> kwords;
+    std::vector<NodeId> awake;
     std::vector<std::vector<NodeId>> bucket_nodes;
     std::vector<std::vector<std::int64_t>> bucket_rounds;
   };
@@ -348,6 +358,9 @@ class ArenaEngine {
 
     ws_.live.resize(static_cast<std::size_t>(n_));
     std::iota(ws_.live.begin(), ws_.live.end(), NodeId{0});
+    // has_mail is exact only here, so only this loop skips quiet nodes.
+    waking_ = kernel_ != nullptr && kernel_->wake_fn != nullptr;
+    if (waking_) ws_.wake.assign(static_cast<std::size_t>(n_), 0);
 
     deltas_.assign(static_cast<std::size_t>(threads_), StepDelta{});
     NodeId live = n_;
@@ -364,7 +377,7 @@ class ArenaEngine {
       sim_inbox_ = net.inbox();
       peak_frontier_ = std::max<std::int64_t>(peak_frontier_, live);
       std::int64_t round_messages = 0;
-      std::int64_t round_steps = 0;
+      std::int64_t round_steps = 0, round_quiet = 0;
       std::int64_t round_batched = 0, round_batch_calls = 0;
       const std::size_t live_n = ws_.live.size();
       if (threads_ == 1) {
@@ -389,6 +402,7 @@ class ArenaEngine {
         max_message_words_ = std::max(max_message_words_, delta.max_words);
         total_steps_ += delta.steps;
         round_steps += delta.steps;
+        round_quiet += delta.quiet;
         batched_steps_ += delta.batched_steps;
         batch_calls_ += delta.batch_calls;
         cut_off_ += delta.cut_off;
@@ -413,6 +427,7 @@ class ArenaEngine {
         event.arg("frontier", static_cast<std::int64_t>(live_n));
         event.arg("messages", round_messages);
         event.arg("steps", round_steps);
+        event.arg("quiet", round_quiet);
         if (kernel_has_batch_) {
           event.arg("batched_steps", round_batched);
           event.arg("batch_calls", round_batch_calls);
@@ -1050,15 +1065,41 @@ class ArenaEngine {
   void step_range(int tid, std::size_t lo, std::size_t hi,
                   std::int64_t round) {
     StepDelta& delta = deltas_[static_cast<std::size_t>(tid)];
-    // Batch-capable kernels step the whole slice phase-bucketed up front;
-    // the per-node loop below then only does the round bookkeeping.
-    if (kernel_has_batch_)
-      step_bucketed(tid, ws_.live.data() + lo, hi - lo, round,
-                    &delta.batched_steps, &delta.batch_calls,
+    // The wake check: a node whose declared wake round lies ahead and whose
+    // inbox is empty is quiet. Its step is a no-op by the kernel's wake
+    // contract, so only the bookkeeping loop below sees it.
+    const NodeId* nodes = ws_.live.data() + lo;
+    std::size_t count = hi - lo;
+    if (waking_) {
+      auto& awake = ws_.scratch[static_cast<std::size_t>(tid)].awake;
+      awake.clear();
+      for (std::size_t i = 0; i < count; ++i) {
+        const NodeId v = nodes[i];
+        if (ws_.wake[static_cast<std::size_t>(v)] <= round ||
+            sim_inbox_.has_mail(v))
+          awake.push_back(v);
+      }
+      delta.quiet += static_cast<std::int64_t>(count - awake.size());
+      nodes = awake.data();
+      count = awake.size();
+    }
+    if (kernel_has_batch_) {
+      step_bucketed(tid, nodes, count, round, &delta.batched_steps,
+                    &delta.batch_calls,
                     trace_round_active_ ? &delta.phase_sizes : nullptr);
+    } else {
+      for (std::size_t i = 0; i < count; ++i) step_one(tid, nodes[i], round);
+    }
+    if (waking_) {
+      for (std::size_t i = 0; i < count; ++i) {
+        const std::size_t vi = static_cast<std::size_t>(nodes[i]);
+        if (!ws_.finished[vi])
+          ws_.wake[vi] =
+              kernel_wake(*kernel_, round, kstate_base_ + vi * kstride_);
+      }
+    }
     for (std::size_t i = lo; i < hi; ++i) {
       const NodeId v = ws_.live[i];
-      if (!kernel_has_batch_) step_one(tid, v, round);
       ++delta.steps;
       ++ws_.local_round[static_cast<std::size_t>(v)];
       if (ws_.finished[static_cast<std::size_t>(v)]) {
@@ -1180,6 +1221,8 @@ class ArenaEngine {
         bytes += static_cast<std::int64_t>(h.capacity() * sizeof(Span));
     } else {
       bytes += ws_.sim_net.arena_bytes();
+      if (waking_)
+        bytes += static_cast<std::int64_t>(ws_.wake.capacity()) * 8;
     }
     bytes += static_cast<std::int64_t>(ws_.kernel_state.capacity());
     bytes += static_cast<std::int64_t>(ws_.kernel_port_state.capacity()) * 8;
@@ -1228,6 +1271,9 @@ class ArenaEngine {
   // synchronizer loops then step phase-bucketed (the delayed event loop is
   // inherently one-node-at-a-time and always steps scalar).
   bool kernel_has_batch_ = false;
+  // True in the simultaneous mode when the kernel has a wake_fn: step_range
+  // then skips quiet nodes (see EngineWorkspaceState::wake).
+  bool waking_ = false;
   std::int64_t batched_steps_ = 0;
   std::int64_t batch_calls_ = 0;
   bool sync_mode_ = false;

@@ -104,10 +104,14 @@ struct EngineStats {
   /// mix both when only some stages are lowered).
   std::int64_t kernel_steps = 0;
   std::int64_t vtable_steps = 0;
-  /// Of kernel_steps, how many ran through phase-grouped KernelBatchFn
-  /// buckets (the rest went through the scalar per-node loop), and how many
-  /// batch calls carried them — kernel_batched_steps / kernel_batch_calls
-  /// is the mean batch occupancy (nodes stepped per batch dispatch).
+  /// Of kernel_steps, how many reached a phase-grouped KernelBatchFn
+  /// bucket, and how many batch calls carried them —
+  /// kernel_batched_steps / kernel_batch_calls is the mean batch occupancy
+  /// (nodes stepped per batch dispatch). The rest went through the scalar
+  /// per-node loop or were quiet: in the simultaneous mode a node whose
+  /// kernel declared a later wake round (StepKernel::wake_fn) and whose
+  /// inbox is empty is counted in total_steps and kernel_steps without a
+  /// kernel call, so it reaches no bucket and no batch call.
   std::int64_t kernel_batched_steps = 0;
   std::int64_t kernel_batch_calls = 0;
   /// Most unfinished nodes at the start of any round (= n for a non-empty

@@ -285,6 +285,9 @@ void TraceEvent::arg(const std::string& key, const std::string& value) {
   if (!args.is_object()) args = json::Value::object();
   args.set(key, json::Value::string(value));
 }
+void TraceEvent::arg(const std::string& key, const char* value) {
+  arg(key, std::string(value));
+}
 void TraceEvent::arg(const std::string& key, std::int64_t value) {
   if (!args.is_object()) args = json::Value::object();
   args.set(key, json::Value::number(value));

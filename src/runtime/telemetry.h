@@ -187,8 +187,10 @@ struct TraceEvent {
   int tid = 1;
   json::Value args;
 
-  /// Convenience arg appenders (create the args object on first use).
+  /// Convenience arg appenders (create the args object on first use). The
+  /// const char* row keeps a string literal from binding to the bool row.
   void arg(const std::string& key, const std::string& value);
+  void arg(const std::string& key, const char* value);
   void arg(const std::string& key, std::int64_t value);
   void arg(const std::string& key, std::uint64_t value);
   void arg(const std::string& key, double value);

@@ -15,6 +15,7 @@
 #include "src/algo/arb_coloring.h"
 #include "src/algo/cole_vishkin.h"
 #include "src/algo/color_reduce.h"
+#include "src/algo/dplus1.h"
 #include "src/algo/edge_color_mm.h"
 #include "src/algo/greedy_mis.h"
 #include "src/algo/hpartition.h"
@@ -25,6 +26,7 @@
 #include "src/core/coloring_transform.h"
 #include "src/graph/params.h"
 #include "src/runtime/campaign.h"
+#include "src/runtime/chain.h"
 #include "src/runtime/kernel.h"
 #include "src/runtime/reference.h"
 #include "src/runtime/runner.h"
@@ -448,6 +450,164 @@ TEST(KernelMailStamps, HasMailIsAlwaysTrueOutsideTheSimultaneousMode) {
   }
 }
 
+// --- wake contract: the rounds a kernel declares quiet are no-ops ---------
+
+/// Sends seen by the wake harness (the KernelCtx engine pointer).
+struct SendCount {
+  std::int64_t sends = 0;
+};
+
+void count_send(void* engine, int, NodeId, NodeId, const std::int64_t*,
+                std::size_t) {
+  ++static_cast<SendCount*>(engine)->sends;
+}
+
+std::span<const std::int64_t> recv_nothing(void*, int, NodeId, NodeId,
+                                           bool* present) {
+  *present = false;
+  return {};
+}
+
+/// Steps one synthetic node of `kernel` through its scalar phase fns with
+/// an empty inbox every round, up to `max_round`. After each step it also
+/// steps every round before the declared wake, and those must leave the
+/// state bytes, the port words and the RNG unchanged, send nothing and not
+/// finish. Returns how many quiet rounds it checked.
+std::int64_t check_wake_contract(const StepKernel& kernel, NodeId degree,
+                                 const std::vector<std::int64_t>& input,
+                                 std::int64_t max_round,
+                                 const std::string& label) {
+  EXPECT_LE(kernel.state_align, alignof(std::int64_t)) << label;
+  std::vector<std::int64_t> state_words((kernel.state_size + 7) / 8 + 1, 0);
+  auto* state = reinterpret_cast<std::byte*>(state_words.data());
+  std::vector<std::int64_t> ports(
+      static_cast<std::size_t>(degree) * kernel.port_state_words, 0);
+  const std::int64_t identity = 11;
+  if (kernel.init_fn != nullptr) {
+    NodeInit init;
+    init.degree = degree;
+    init.identity = identity;
+    init.input = input;
+    kernel.init_fn(state, init, kernel.config.get());
+  }
+  Rng rng(identity);
+  std::vector<std::int64_t> scratch;
+  SendCount sent;
+  const auto step = [&](std::int64_t round) {
+    KernelCtx ctx;
+    ctx.degree = degree;
+    ctx.identity = identity;
+    ctx.round = round;
+    ctx.input = input;
+    ctx.rng = &rng;
+    ctx.state = state;
+    ctx.port_state = ports.empty() ? nullptr : ports.data();
+    ctx.config = kernel.config.get();
+    ctx.scratch = &scratch;
+    ctx.has_mail = false;
+    ctx.engine = &sent;
+    ctx.recv_fn = recv_nothing;
+    ctx.send_fn = count_send;
+    kernel.phases[kernel_phase_index(kernel, round, state)].fn(ctx);
+    return ctx.finished;
+  };
+
+  std::int64_t quiet = 0;
+  for (std::int64_t round = 0; round < max_round;) {
+    if (step(round)) break;
+    const std::int64_t wake = kernel_wake(kernel, round, state);
+    EXPECT_GT(wake, round) << label << " round " << round;
+    for (std::int64_t r = round + 1; r < std::min(wake, max_round); ++r) {
+      const std::vector<std::int64_t> state_before = state_words;
+      const std::vector<std::int64_t> ports_before = ports;
+      Rng rng_before = rng;
+      const std::int64_t sends_before = sent.sends;
+      const bool finished = step(r);
+      const std::string where = label + " quiet round " + std::to_string(r) +
+                                " (woke at " + std::to_string(round) +
+                                ", wake " + std::to_string(wake) + ")";
+      EXPECT_FALSE(finished) << where;
+      EXPECT_EQ(state_before, state_words) << where;
+      EXPECT_EQ(ports_before, ports) << where;
+      EXPECT_EQ(sends_before, sent.sends) << where;
+      Rng rng_after = rng;
+      EXPECT_EQ(rng_before.next(), rng_after.next()) << where;
+      ++quiet;
+    }
+    round = std::max(wake, round + 1);
+  }
+  return quiet;
+}
+
+TEST(KernelWake, ColorReduceQuietRoundsAreNoOps) {
+  std::int64_t quiet = 0;
+  for (const std::int64_t target : {std::int64_t{0}, std::int64_t{5}}) {
+    const ColorReduce reduce(/*k_start=*/24, target);
+    for (const NodeId degree : {0, 1, 3, 7}) {
+      // Colors below, inside and above the palette, the top color and one
+      // past k_start (never eliminated).
+      for (const std::int64_t color : {1, 2, 5, 9, 16, 24, 30}) {
+        const std::string label = "color-reduce target=" +
+                                  std::to_string(target) +
+                                  " degree=" + std::to_string(degree) +
+                                  " color=" + std::to_string(color);
+        quiet += check_wake_contract(*reduce.kernel(), degree, {color},
+                                     reduce.schedule_rounds() + 2, label);
+      }
+    }
+  }
+  EXPECT_GT(quiet, 0);  // the rule does declare quiet stretches
+}
+
+TEST(KernelWake, DegPlusOneChainQuietRoundsAreNoOps) {
+  std::int64_t quiet = 0;
+  for (const std::int64_t delta : {2, 5}) {
+    const auto dplus1 = make_deg_plus_one_algorithm(delta, /*m_guess=*/200);
+    const std::shared_ptr<const StepKernel> kernel = dplus1->kernel();
+    ASSERT_NE(kernel, nullptr);
+    ASSERT_NE(kernel->wake_fn, nullptr);
+    const auto* chain = dynamic_cast<const ChainAlgorithm*>(dplus1.get());
+    ASSERT_NE(chain, nullptr);
+    for (const NodeId degree : {NodeId{0}, NodeId{1}, static_cast<NodeId>(delta)}) {
+      for (const std::int64_t id_input : {1, 7, 64, 199}) {
+        const std::string label = "dplus1 delta=" + std::to_string(delta) +
+                                  " degree=" + std::to_string(degree) +
+                                  " input=" + std::to_string(id_input);
+        quiet += check_wake_contract(*kernel, degree, {id_input},
+                                     chain->total_rounds() + 2, label);
+      }
+    }
+  }
+  EXPECT_GT(quiet, 0);
+}
+
+TEST(KernelWake, QuietStepsAreCountedButSkipTheKernel) {
+  // Identity colors on a path: most nodes wait for their elimination round,
+  // so most steps are quiet. The counters match the vtable run; only the
+  // batched steps, which count kernel calls, fall.
+  const Instance instance = make_instance(
+      path_graph(64), IdentityScheme::kSequential, 3);
+  Instance seeded = instance;
+  for (NodeId v = 0; v < seeded.num_nodes(); ++v)
+    seeded.inputs[static_cast<std::size_t>(v)] = {
+        seeded.identities[static_cast<std::size_t>(v)]};
+  const ColorReduce reduce(seeded.max_identity(), 0);
+  ASSERT_NE(reduce.kernel()->wake_fn, nullptr);
+  RunOptions options;
+  options.kernel_mode = KernelMode::kOff;
+  const RunResult vtable = run_local(seeded, reduce, options);
+  options.kernel_mode = KernelMode::kOn;
+  for (const int threads : {1, 2}) {
+    options.num_threads = threads;
+    const RunResult kernel = run_local(seeded, reduce, options);
+    expect_same(vtable, kernel, "threads=" + std::to_string(threads));
+    EXPECT_EQ(kernel.stats.total_steps, vtable.stats.total_steps);
+    EXPECT_EQ(kernel.stats.kernel_steps, kernel.stats.total_steps);
+    EXPECT_LT(2 * kernel.stats.kernel_batched_steps,
+              kernel.stats.kernel_steps);
+  }
+}
+
 TEST(KernelEquivalence, SlcAdapterThroughColoringTransform) {
   // The Theorem 5 transform wraps its coloring black box in the SLC output
   // adapter; under kernel mode `on` the whole pipeline must run lowered
@@ -469,6 +629,17 @@ TEST(KernelEquivalence, SlcAdapterThroughColoringTransform) {
   EXPECT_EQ(off.total_rounds, on.total_rounds);
   EXPECT_EQ(on.engine_stats.vtable_steps, 0);
   EXPECT_GT(on.engine_stats.kernel_steps, 0);
+}
+
+TEST(KernelRegistry, OnlyColorReduceAndChainDeclareAWakeRule) {
+  // The SLC adapter and the truncation wrapper keep stepping every round;
+  // color-reduce and the chain lower the wake rule.
+  const KernelRegistry& registry = default_kernel_registry();
+  EXPECT_NE(registry.lower("color-reduce", ColorReduce(9, 0))->wake_fn,
+            nullptr);
+  const auto dplus1 = make_deg_plus_one_algorithm(3, 50);
+  EXPECT_NE(registry.lower("chain", *dplus1)->wake_fn, nullptr);
+  EXPECT_EQ(registry.lower("luby", LubyMis())->wake_fn, nullptr);
 }
 
 TEST(KernelRegistry, DefaultTableListsTheLoweredBlocks) {

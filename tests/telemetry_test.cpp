@@ -239,6 +239,19 @@ std::string canonical_json(const CampaignResult& result) {
   return out.str();
 }
 
+/// The string value of a span arg; "<missing>" or "<not a string>" when it
+/// is absent or of another type.
+std::string string_arg(const TraceEvent& event, const char* key) {
+  const json::Value* value = event.args.find(key);
+  if (value == nullptr) return "<missing>";
+  return value->is_string() ? value->as_string() : "<not a string>";
+}
+
+std::int64_t int_arg(const TraceEvent& event, const char* key) {
+  const json::Value* value = event.args.find(key);
+  return value == nullptr ? 0 : value->as_i64();
+}
+
 TEST(EngineTracing, RoundSpansNestInRunSpansAndArgsAreComplete) {
   FakeClock clock(1);
   TraceRecorder recorder(&clock);
@@ -260,13 +273,19 @@ TEST(EngineTracing, RoundSpansNestInRunSpansAndArgsAreComplete) {
       EXPECT_TRUE(event.args.find("rounds") != nullptr);
     } else if (event.name == "engine.run") {
       ++runs;
-      EXPECT_TRUE(event.args.find("mode") != nullptr);
-      EXPECT_TRUE(event.args.find("path") != nullptr);
+      const std::string mode = string_arg(event, "mode");
+      EXPECT_TRUE(mode == "simultaneous" || mode == "synchronized" ||
+                  mode == "delayed")
+          << mode;
+      const std::string path = string_arg(event, "path");
+      EXPECT_TRUE(path == "kernel" || path == "vtable") << path;
     } else if (event.name == "round") {
       ++rounds;
       EXPECT_TRUE(event.args.find("frontier") != nullptr);
       EXPECT_TRUE(event.args.find("messages") != nullptr);
       EXPECT_TRUE(event.args.find("steps") != nullptr);
+      const std::string path = string_arg(event, "path");
+      EXPECT_TRUE(path == "kernel" || path == "vtable") << path;
     }
   }
   EXPECT_EQ(cells, 4);
@@ -289,6 +308,33 @@ TEST(EngineTracing, RoundSpansNestInRunSpansAndArgsAreComplete) {
                            << " outside every engine.run span";
     }
   }
+}
+
+TEST(EngineTracing, RoundSpansCountQuietSteps) {
+  // The color-reduce rows wait for their elimination round: the wake check
+  // counts those steps as quiet, and a quiet step reaches no batch call.
+  FakeClock clock(1);
+  TraceRecorder recorder(&clock);
+  CampaignOptions options;
+  options.workers = 1;
+  options.trace = &recorder;
+  options.trace_rounds = 1 << 20;
+  ScenarioParams params;
+  params.n = 48;
+  run_campaign(make_grid({"path", "gnp"}, params,
+                         {"color-reduce", "dplus1-coloring"}, 1, 7),
+               options);
+  std::int64_t quiet = 0;
+  for (const TraceEvent& event : recorder.events()) {
+    if (event.name != "round") continue;
+    const std::int64_t steps = int_arg(event, "steps");
+    const std::int64_t round_quiet = int_arg(event, "quiet");
+    EXPECT_GE(round_quiet, 0);
+    EXPECT_LE(round_quiet + int_arg(event, "batched_steps"), steps)
+        << "round span at ts=" << event.ts;
+    quiet += round_quiet;
+  }
+  EXPECT_GT(quiet, 0);
 }
 
 TEST(EngineTracing, TraceRoundsCapsPerRunRoundSpans) {
