@@ -631,15 +631,18 @@ TEST(KernelEquivalence, SlcAdapterThroughColoringTransform) {
   EXPECT_GT(on.engine_stats.kernel_steps, 0);
 }
 
-TEST(KernelRegistry, OnlyColorReduceAndChainDeclareAWakeRule) {
-  // The SLC adapter and the truncation wrapper keep stepping every round;
-  // color-reduce and the chain lower the wake rule.
+TEST(KernelRegistry, ColorReduceAndChainDeclareAWakeRule) {
+  // Blocks without a wake rule, and the truncation wrapper even around a
+  // waking kernel, step every round.
   const KernelRegistry& registry = default_kernel_registry();
   EXPECT_NE(registry.lower("color-reduce", ColorReduce(9, 0))->wake_fn,
             nullptr);
   const auto dplus1 = make_deg_plus_one_algorithm(3, 50);
   EXPECT_NE(registry.lower("chain", *dplus1)->wake_fn, nullptr);
   EXPECT_EQ(registry.lower("luby", LubyMis())->wake_fn, nullptr);
+  const TruncatedAlgorithm truncated(std::make_shared<ColorReduce>(9, 0), 3,
+                                     0);
+  EXPECT_EQ(registry.lower("truncated", truncated)->wake_fn, nullptr);
 }
 
 TEST(KernelRegistry, DefaultTableListsTheLoweredBlocks) {
